@@ -26,11 +26,12 @@ from .dispersion import DispersionParams, KPSign
 from .duhamel import duhamel_picard
 from .errors import BlowUpError, ConfigError, ContractionFailureError, FormatError, KP5Error
 from .evolution import Trajectory, evolve
-from .fileio import config_sha256, diagnostics_csv, format_float, read_field, write_field, write_json
+from .fileio import config_sha256, read_field, write_csv, write_field, write_json
 from .initial_data import make_initial_data
 from .norms import NormSpec, energy_functional, mass, sobolev_aniso_norm, tilde_norm
 from .resonance import resonance
-from .sweeps import run_suite, thread_budget
+from .sweeps import SUITES, run_suite, thread_budget
+from .symbols import has_zero_x_mean
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -42,13 +43,17 @@ _LOCK_NAME = ".kp5.lock"
 
 
 class _OutputDir:
-    """Exclusive ownership of an output directory via a lock file."""
+    """Exclusive ownership of an output directory via a lock file.  A
+    directory this run created is removed again if the run fails before
+    writing anything into it."""
 
     def __init__(self, path: str):
         self.path = Path(path)
         self._fd = None
+        self._created = False
 
     def __enter__(self) -> Path:
+        self._created = not self.path.exists()
         self.path.mkdir(parents=True, exist_ok=True)
         try:
             self._fd = os.open(self.path / _LOCK_NAME, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
@@ -59,10 +64,12 @@ class _OutputDir:
             ) from None
         return self.path
 
-    def __exit__(self, *exc) -> None:
+    def __exit__(self, exc_type, *exc) -> None:
         if self._fd is not None:
             os.close(self._fd)
             (self.path / _LOCK_NAME).unlink(missing_ok=True)
+        if exc_type is not None and self._created and not any(self.path.iterdir()):
+            self.path.rmdir()
 
 
 def _versions() -> dict:
@@ -89,22 +96,19 @@ def _manifest(command: str, cfg: RunConfig | None, seed: int, status: str, extra
     return payload
 
 
-def _final_norms(traj: Trajectory, cfg: RunConfig) -> dict:
-    final = traj.final()
-    out = {
-        "t": float(traj.times[-1]),
-        "l2": final.l2_norm(),
-        "mass": mass(final),
-        "energy": energy_functional(final, cfg.dispersion.alpha),
-    }
-    for spec in cfg.monitors:
-        out[spec.label] = sobolev_aniso_norm(final, spec)
-    return out
+def _final_norms(traj: Trajectory) -> dict:
+    """The solver's diagnostics record of the final state, plus its l2 norm."""
+    return {**traj.diagnostics[-1], "l2": traj.final().l2_norm()}
 
 
 def _write_diagnostics(out: Path, traj: Trajectory, cfg: RunConfig) -> None:
     columns = ["t", "mass", "energy"] + [spec.label for spec in cfg.monitors]
-    (out / "diagnostics.csv").write_text(diagnostics_csv(traj.diagnostics, columns))
+    write_csv(out / "diagnostics.csv", traj.diagnostics, columns)
+
+
+def _write_distances(out: Path, distances) -> None:
+    rows = [{"n": n, "distance": d} for n, d in enumerate(distances)]
+    write_csv(out / "distances.csv", rows, ("n", "distance"))
 
 
 def _write_snapshots(out: Path, traj: Trajectory, cfg: RunConfig) -> None:
@@ -146,7 +150,7 @@ def cmd_simulate(args) -> int:
         write_field(out / "final.kp5f", traj.final(), time=float(traj.times[-1]))
         write_json(
             out / "manifest.json",
-            _manifest("simulate", cfg, args.seed, "ok", {"final": _final_norms(traj, cfg)}),
+            _manifest("simulate", cfg, args.seed, "ok", {"final": _final_norms(traj)}),
         )
         if not args.quiet:
             print(f"simulate: {cfg.solver.n_steps} steps -> {out}")
@@ -161,9 +165,7 @@ def cmd_picard(args) -> int:
         try:
             result = duhamel_picard(f0, cfg.solver, cfg.dispersion, monitors=cfg.monitors)
         except ContractionFailureError as exc:
-            lines = ["n,distance"]
-            lines += [f"{n},{format_float(d)}" for n, d in enumerate(exc.distances)]
-            (out / "distances.csv").write_text("\n".join(lines) + "\n")
+            _write_distances(out, exc.distances)
             write_json(
                 out / "manifest.json",
                 _manifest("picard", cfg, args.seed, "contraction_failure", {"error": str(exc)}),
@@ -171,9 +173,7 @@ def cmd_picard(args) -> int:
             if not args.quiet:
                 print(f"contraction failure: {exc}", file=sys.stderr)
             return EXIT_CONTRACTION
-        lines = ["n,distance"]
-        lines += [f"{n},{format_float(d)}" for n, d in enumerate(result.distances)]
-        (out / "distances.csv").write_text("\n".join(lines) + "\n")
+        _write_distances(out, result.distances)
         _write_diagnostics(out, result.trajectory, cfg)
         write_field(
             out / "final.kp5f", result.trajectory.final(), time=float(result.trajectory.times[-1])
@@ -189,7 +189,7 @@ def cmd_picard(args) -> int:
                     "converged": result.converged,
                     "iterations": len(result.distances),
                     "distances": [float(d) for d in result.distances],
-                    "final": _final_norms(result.trajectory, cfg),
+                    "final": _final_norms(result.trajectory),
                 },
             ),
         )
@@ -199,39 +199,32 @@ def cmd_picard(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    # validate, then lock, then run: a held lock must not cost a whole suite
+    if args.suite not in SUITES:
+        print(f"error: unknown suite {args.suite!r}; choose from {sorted(SUITES)}", file=sys.stderr)
+        return EXIT_CONFIG
+    thread_budget()
     try:
-        report = run_suite(args.suite, args.seed, args.samples)
-    except ValueError as exc:
+        with _OutputDir(args.out or f"kp5-verify-{args.suite}") as out:
+            report = run_suite(args.suite, args.seed, args.samples)
+            if report.rows:
+                write_csv(out / f"{report.suite}.csv", report.rows, report.columns)
+            write_json(
+                out / f"{report.suite}_summary.json",
+                _manifest(
+                    "verify",
+                    None,
+                    args.seed,
+                    "pass" if report.passed else "fail",
+                    {"suite": report.suite, "summary": report.summary},
+                ),
+            )
+    except ValueError as exc:  # a sample count the suite cannot use
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    with _OutputDir(args.out or f"kp5-verify-{args.suite}") as out:
-        if report.rows:
-            (out / f"{report.suite}.csv").write_text(_rows_csv(report.columns, report.rows))
-        write_json(
-            out / f"{report.suite}_summary.json",
-            _manifest(
-                "verify",
-                None,
-                args.seed,
-                "pass" if report.passed else "fail",
-                {"suite": report.suite, "summary": report.summary},
-            ),
-        )
-        if not args.quiet:
-            print(f"verify {report.suite}: {'pass' if report.passed else 'FAIL'}")
+    if not args.quiet:
+        print(f"verify {report.suite}: {'pass' if report.passed else 'FAIL'}")
     return EXIT_OK if report.passed else 1
-
-
-def _rows_csv(columns, rows) -> str:
-    def cell(value) -> str:
-        if isinstance(value, float):
-            return format_float(value)
-        return str(value)
-
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(cell(row[c]) for c in columns))
-    return "\n".join(lines) + "\n"
 
 
 def cmd_norms(args) -> int:
@@ -246,7 +239,7 @@ def cmd_norms(args) -> int:
         for s2 in (0, 1, 2):
             spec = NormSpec(s1=float(s1), s2=float(s2))
             report[spec.label] = sobolev_aniso_norm(field, spec)
-    if field.x_mean_content() <= 1e-12:
+    if has_zero_x_mean(field):
         report["energy"] = energy_functional(field, args.alpha)
         report["tilde_2_1"] = tilde_norm(field, 2.0, 1.0)
     payload = _manifest("norms", None, args.seed, "ok", {"norms": report})
@@ -277,7 +270,7 @@ def cmd_resonance_map(args) -> int:
     mu1s = _parse_range(args.mu1, "mu1")
     mu2s = _parse_range(args.mu2, "mu2")
     with _OutputDir(args.out or "kp5-resonance-map") as out:
-        lines = ["xi1,xi2,mu1,mu2,R"]
+        rows = []
         skipped = 0
         for xi1 in xi1s:
             for xi2 in xi2s:
@@ -287,12 +280,8 @@ def cmd_resonance_map(args) -> int:
                 for mu1 in mu1s:
                     for mu2 in mu2s:
                         value = resonance(float(xi1), float(xi2), float(mu1), float(mu2), params)
-                        lines.append(
-                            ",".join(
-                                format_float(v) for v in (xi1, xi2, mu1, mu2, value)
-                            )
-                        )
-        (out / "resonance_map.csv").write_text("\n".join(lines) + "\n")
+                        rows.append({"xi1": xi1, "xi2": xi2, "mu1": mu1, "mu2": mu2, "R": value})
+        write_csv(out / "resonance_map.csv", rows, ("xi1", "xi2", "mu1", "mu2", "R"))
         write_json(
             out / "manifest.json",
             _manifest(
@@ -303,13 +292,13 @@ def cmd_resonance_map(args) -> int:
                 {
                     "kp_sign": args.kp_sign,
                     "alpha": args.alpha,
-                    "rows": len(lines) - 1,
+                    "rows": len(rows),
                     "skipped_degenerate": skipped,
                 },
             ),
         )
         if not args.quiet:
-            print(f"resonance-map: {len(lines) - 1} rows -> {out}")
+            print(f"resonance-map: {len(rows)} rows -> {out}")
     return EXIT_OK
 
 

@@ -26,7 +26,7 @@ from .errors import ContractionFailureError
 from .evolution import SolverConfig, Trajectory, _diagnostics_record
 from .field import Field
 from .norms import NormSpec
-from .symbols import require_zero_x_mean
+from .symbols import require_zero_x_mean, zero_mode_project
 
 __all__ = ["PicardResult", "duhamel_picard"]
 
@@ -86,8 +86,7 @@ def duhamel_picard(
     psi = cutoff_psi(t)[:, None, None]
     psi_t = cutoff_psi_T(t, cfg.cutoff_T)[:, None, None]
 
-    phi_hat = phi.data.copy()
-    phi_hat[:, 0] = 0.0
+    phi_hat = zero_mode_project(phi).data
     free = psi * (phase_fwd * phi_hat[None, :, :])
 
     u = free.copy()

@@ -19,7 +19,7 @@ from .dispersion import DispersionParams, ZeroModePolicy, omega_on_grid
 from .errors import BlowUpError, SingularSymbolError
 from .field import Field
 from .norms import NormSpec, energy_functional, mass, sobolev_aniso_norm
-from .symbols import dealias, x_derivative
+from .symbols import dealias, require_zero_x_mean, x_derivative, zero_mode_project
 
 __all__ = [
     "SolverConfig",
@@ -95,22 +95,12 @@ class Trajectory:
         return self.states[-1]
 
 
-def _zero_mode_guard(f: Field, params: DispersionParams) -> np.ndarray:
-    """Return coefficients with the xi = 0 line zeroed, honoring the policy."""
-    if params.zero_mode is ZeroModePolicy.ERROR and f.x_mean_content() > 1e-12:
-        raise SingularSymbolError(
-            "field carries xi=0 content under the error zero-mode policy"
-        )
-    data = f.data.copy()
-    data[:, 0] = 0.0
-    return data
-
-
 def _apply_phase(f: Field, phase: np.ndarray, params: DispersionParams) -> Field:
-    data = _zero_mode_guard(f, params)
-    data *= phase
-    data[:, 0] = 0.0
-    return Field(f.grid, data, f.reality)
+    """Multiply the zero-mode-projected coefficients by ``phase``, which is 1
+    on the xi = 0 line because ``omega_on_grid`` is 0 there."""
+    if params.zero_mode is ZeroModePolicy.ERROR:
+        require_zero_x_mean(f, "the error zero-mode policy", SingularSymbolError)
+    return Field(f.grid, zero_mode_project(f).data * phase, f.reality)
 
 
 def linear_propagate(f: Field, t: float, params: DispersionParams) -> Field:
@@ -194,8 +184,7 @@ def evolve(
     ``state_stride`` steps (plus the final one).  On blow-up the raised
     ``BlowUpError`` carries the partial trajectory with diagnostics flushed.
     """
-    if f0.x_mean_content() > 1e-12:
-        raise SingularSymbolError("evolve requires zero-x-mean initial data")
+    require_zero_x_mean(f0, "evolve", SingularSymbolError)
     if state_stride < 1:
         raise ValueError("state_stride must be positive")
 

@@ -16,13 +16,15 @@ import numpy as np
 
 from .grid import SpectralGrid
 
-__all__ = ["Field", "hermitian_reflect"]
+__all__ = ["Field", "hermitian_reflect", "is_hermitian"]
 
-_REALITY_TOL = 1e-12
+_HERMITIAN_TOL = 1e-12
 
 
 def _take(arr: np.ndarray) -> np.ndarray:
     """Write-lock an array, copying first if it aliases someone else's memory."""
+    if not arr.flags.writeable and arr.base is None:
+        return arr
     if arr.base is not None or not arr.flags.c_contiguous:
         arr = arr.copy()
     arr.flags.writeable = False
@@ -34,8 +36,33 @@ def hermitian_reflect(data: np.ndarray) -> np.ndarray:
     return np.conj(np.roll(data[::-1, ::-1], shift=(1, 1), axis=(0, 1)))
 
 
+def is_hermitian(data: np.ndarray) -> bool:
+    """True when ``data`` matches its Hermitian reflection to 1e-12 of its peak
+    magnitude, i.e. when it holds the spectrum of a real field."""
+    scale = float(np.max(np.abs(data))) if data.size else 0.0
+    if scale == 0.0:
+        return True
+    defect = float(np.max(np.abs(data - hermitian_reflect(data))))
+    return defect <= _HERMITIAN_TOL * scale
+
+
+class _Spectrum:
+    """Behaviour shared by spectral containers whose write-locked ``data``
+    array has xi as its last axis (``Field`` and ``SpaceTimeField``)."""
+
+    def l2_norm(self) -> float:
+        """Plancherel lattice norm sqrt(sum |coeff|^2) = sqrt(sum |u|^2)."""
+        return float(np.linalg.norm(self.data))
+
+    def x_mean_content(self) -> float:
+        """Relative magnitude of the xi = 0 spectral line."""
+        line = float(np.max(np.abs(self.data[..., 0])))
+        scale = float(np.max(np.abs(self.data)))
+        return line / scale if scale > 0.0 else 0.0
+
+
 @dataclass(frozen=True)
-class Field:
+class Field(_Spectrum):
     """Spectral coefficients of one scalar field on a shared grid."""
 
     grid: SpectralGrid
@@ -47,8 +74,7 @@ class Field:
             raise ValueError(f"data shape {self.data.shape} != grid shape {self.grid.shape}")
         if self.data.dtype != np.complex128:
             raise ValueError(f"spectral data must be complex128, got {self.data.dtype}")
-        if self.data.flags.writeable or self.data.base is not None:
-            object.__setattr__(self, "data", _take(self.data))
+        object.__setattr__(self, "data", _take(self.data))
 
     # -- constructors --------------------------------------------------------
 
@@ -73,9 +99,7 @@ class Field:
         """Wrap a copy of spectral coefficients; reality is auto-detected when not given."""
         coeffs = np.array(coeffs, dtype=np.complex128, copy=True)
         if reality is None:
-            scale = float(np.max(np.abs(coeffs))) if coeffs.size else 0.0
-            defect = float(np.max(np.abs(coeffs - hermitian_reflect(coeffs)))) if scale else 0.0
-            reality = scale == 0.0 or defect <= _REALITY_TOL * scale
+            reality = is_hermitian(coeffs)
         return cls(grid, coeffs, reality=bool(reality))
 
     @classmethod
@@ -96,17 +120,7 @@ class Field:
         """Max |c(k,l) - conj(c(-k,-l))| over the lattice."""
         return float(np.max(np.abs(self.data - hermitian_reflect(self.data))))
 
-    def x_mean_content(self) -> float:
-        """Relative magnitude of the xi = 0 spectral line."""
-        line = float(np.max(np.abs(self.data[:, 0])))
-        scale = float(np.max(np.abs(self.data)))
-        return line / scale if scale > 0.0 else 0.0
-
     # -- norms and reductions --------------------------------------------------
-
-    def l2_norm(self) -> float:
-        """Plancherel lattice norm sqrt(sum |coeff|^2) = sqrt(sum |u|^2)."""
-        return float(np.linalg.norm(self.data))
 
     def linf_physical(self) -> float:
         return float(np.max(np.abs(self.to_physical())))

@@ -13,14 +13,18 @@ KP5F layout (all little-endian, byte offsets in parentheses):
     samples           (40)  nx*ny f64, physical values, row-major with y as
                             the outer index and x inner
 
-CSV diagnostics use 17-significant-digit decimal so doubles round-trip.
+CSV files print floats with 17 significant digits so doubles round-trip.
+Every artifact is written through ``atomic_writer``: readers see either the
+previous file or the complete new one, never a partial write.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -36,6 +40,8 @@ __all__ = [
     "read_field",
     "format_float",
     "diagnostics_csv",
+    "atomic_writer",
+    "write_csv",
     "write_json",
     "config_sha256",
 ]
@@ -43,6 +49,25 @@ __all__ = [
 KP5F_MAGIC = b"KP5F"
 KP5F_VERSION = 1
 _HEADER = struct.Struct("<4sIIIddd")
+
+
+@contextmanager
+def atomic_writer(path):
+    """Binary file handle whose contents replace ``path`` only on success.
+
+    The data goes to a hidden temporary file in the target directory, which
+    ``os.replace`` moves over ``path`` once the block completes; if the block
+    raises, the temporary file is removed and ``path`` is left as it was.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_field(path, field: Field, time: float = 0.0) -> None:
@@ -54,7 +79,7 @@ def write_field(path, field: Field, time: float = 0.0) -> None:
         KP5F_MAGIC, KP5F_VERSION, grid.nx, grid.ny, grid.lx, grid.ly, float(time)
     )
     samples = np.ascontiguousarray(field.to_physical().real, dtype="<f8")
-    with open(path, "wb") as fh:
+    with atomic_writer(path) as fh:
         fh.write(header)
         fh.write(samples.tobytes())
 
@@ -85,16 +110,30 @@ def format_float(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _cell(value) -> str:
+    return format_float(value) if isinstance(value, float) else str(value)
+
+
 def diagnostics_csv(records, columns) -> str:
-    """Render diagnostic records as CSV with a fixed column order."""
+    """Render records (mappings) as CSV with a fixed column order; floats via
+    ``format_float``, other values via ``str``."""
     lines = [",".join(columns)]
     for rec in records:
-        lines.append(",".join(format_float(rec[c]) for c in columns))
+        lines.append(",".join(_cell(rec[c]) for c in columns))
     return "\n".join(lines) + "\n"
 
 
+def _write_text(path, text: str) -> None:
+    with atomic_writer(path) as fh:
+        fh.write(text.encode("utf-8"))
+
+
+def write_csv(path, records, columns) -> None:
+    _write_text(path, diagnostics_csv(records, columns))
+
+
 def write_json(path, payload) -> None:
-    Path(path).write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def config_sha256(config_dict) -> str:

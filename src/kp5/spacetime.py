@@ -18,10 +18,11 @@ import numpy as np
 
 from .cutoffs import dyadic_eta
 from .dispersion import DispersionParams, omega_on_grid
-from .errors import UndefinedRatioError, ZeroMassViolationError
-from .field import Field
+from .errors import UndefinedRatioError
+from .field import Field, _Spectrum, _take
 from .grid import SpectralGrid
 from .norms import NormSpec, bracket
+from .symbols import require_zero_x_mean, zero_mode_project
 
 __all__ = [
     "SpaceTimeField",
@@ -32,18 +33,22 @@ __all__ = [
     "strichartz_ratio",
 ]
 
-_ZERO_LINE_TOL = 1e-12
+
+def _sample_times(nt: int, t_window: float) -> np.ndarray:
+    return np.arange(nt) * (t_window / nt)
 
 
-def _take(arr: np.ndarray) -> np.ndarray:
-    if arr.base is not None or not arr.flags.c_contiguous:
-        arr = arr.copy()
-    arr.flags.writeable = False
-    return arr
+def _sigma_lattice(
+    grid: SpectralGrid, nt: int, t_window: float, params: DispersionParams
+) -> np.ndarray:
+    """Modulation tau - omega(xi, mu) on the (nt, ny, nx) lattice, with the
+    temporal frequencies tau = 2*pi*k/t_window in fftfreq order."""
+    tau = 2.0 * np.pi * np.fft.fftfreq(nt, d=t_window / nt)
+    return tau[:, None, None] - omega_on_grid(grid, params)[None, :, :]
 
 
 @dataclass(frozen=True)
-class SpaceTimeField:
+class SpaceTimeField(_Spectrum):
     """Fully spectral (tau, mu, xi) representation of u(t, x, y)."""
 
     grid: SpectralGrid
@@ -61,8 +66,7 @@ class SpaceTimeField:
             raise ValueError(f"data shape {self.data.shape} != {expected}")
         if self.data.dtype != np.complex128:
             raise ValueError(f"spectral data must be complex128, got {self.data.dtype}")
-        if self.data.flags.writeable or self.data.base is not None:
-            object.__setattr__(self, "data", _take(self.data))
+        object.__setattr__(self, "data", _take(self.data))
 
     # -- constructors --------------------------------------------------------
 
@@ -85,16 +89,11 @@ class SpaceTimeField:
     @cached_property
     def times(self) -> np.ndarray:
         """Sample times k*t_window/nt on [0, t_window)."""
-        return np.arange(self.nt) * (self.t_window / self.nt)
-
-    @cached_property
-    def tau(self) -> np.ndarray:
-        """Temporal frequencies 2*pi*k/t_window in fftfreq order."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.nt, d=self.t_window / self.nt)
+        return _sample_times(self.nt, self.t_window)
 
     def sigma(self, params: DispersionParams) -> np.ndarray:
         """Modulation tau - omega(xi, mu) on the (nt, ny, nx) lattice."""
-        return self.tau[:, None, None] - omega_on_grid(self.grid, params)[None, :, :]
+        return _sigma_lattice(self.grid, self.nt, self.t_window, params)
 
     @property
     def cell_volume(self) -> float:
@@ -110,39 +109,17 @@ class SpaceTimeField:
         spatial = np.fft.fft(self.data, axis=0, norm="ortho")
         return tuple(Field.from_spectral(self.grid, spatial[i]) for i in range(self.nt))
 
-    def l2_norm(self) -> float:
-        """Plancherel lattice norm over the full space-time lattice."""
-        return float(np.linalg.norm(self.data))
-
-    def x_mean_content(self) -> float:
-        line = float(np.max(np.abs(self.data[:, :, 0])))
-        scale = float(np.max(np.abs(self.data)))
-        return line / scale if scale > 0.0 else 0.0
-
-
-def _require_zero_x_mean(u: SpaceTimeField, what: str) -> None:
-    if u.x_mean_content() > _ZERO_LINE_TOL:
-        raise ZeroMassViolationError(f"{what} requires zero x-mean in every time slice")
-
 
 def sample_linear_flow(
     phi: Field, nt: int, t_window: float, params: DispersionParams
 ) -> SpaceTimeField:
     """Sample the exact linear flow of ``phi`` on the periodic time window."""
     omega = omega_on_grid(phi.grid, params)
-    data = phi.data.copy()
-    data[:, 0] = 0.0
-    times = np.arange(nt) * (t_window / nt)
+    data = zero_mode_project(phi).data
+    times = _sample_times(nt, t_window)
     spatial = data[None, :, :] * np.exp(-1j * times[:, None, None] * omega[None, :, :])
     spec = np.fft.ifft(spatial, axis=0, norm="ortho")
     return SpaceTimeField(phi.grid, nt, float(t_window), spec)
-
-
-def _sigma_lattice(
-    grid: SpectralGrid, nt: int, t_window: float, params: DispersionParams
-) -> np.ndarray:
-    tau = 2.0 * np.pi * np.fft.fftfreq(nt, d=t_window / nt)
-    return tau[:, None, None] - omega_on_grid(grid, params)[None, :, :]
 
 
 def random_modulation_shell(
@@ -168,7 +145,7 @@ def bourgain_norm(u: SpaceTimeField, spec: NormSpec, params: DispersionParams) -
     The xi = 0 plane must be empty: project-out fields already satisfy this,
     anything else raises a zero-mass violation.
     """
-    _require_zero_x_mean(u, "modulation-weighted norm")
+    require_zero_x_mean(u, "modulation-weighted norm")
     grid = u.grid
     w_space = bracket(grid.xi_mesh) ** spec.s1 * bracket(grid.mu_mesh) ** spec.s2
     weight = bracket(u.sigma(params)) ** spec.b * w_space[None, :, :]
@@ -190,7 +167,7 @@ def modulation_project(
     """
     if variant not in ("modulus", "keep_phase"):
         raise ValueError(f"variant must be 'modulus' or 'keep_phase', got {variant!r}")
-    _require_zero_x_mean(u, "modulation projection")
+    require_zero_x_mean(u, "modulation projection")
     weight = dyadic_eta(j, u.sigma(params))
     base = np.abs(u.data).astype(np.complex128) if variant == "modulus" else u.data
     coeffs = weight * base
@@ -235,11 +212,9 @@ def strichartz_ratio(
 
     exponent = 0.5 - 1.0 / r
     weight = np.abs(u.grid.xi_mesh) ** exponent
-    phys = np.fft.ifft2(
-        np.fft.fft(fj.data * weight[None, :, :], axis=0, norm="ortho"),
-        axes=(1, 2),
-        norm="ortho",
-    )
+    # rebinding fj releases the unweighted shell before the transforms run
+    fj = SpaceTimeField(u.grid, u.nt, u.t_window, fj.data * weight[None, :, :])
+    phys = fj.to_physical()
     keep = _restriction_mask(u, T)
     if not np.any(keep):
         raise UndefinedRatioError("no time samples fall inside [-T, T]")

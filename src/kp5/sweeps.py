@@ -77,7 +77,7 @@ def _frequency_sample(rng: np.random.Generator, n: int):
 # -- resonance ----------------------------------------------------------------
 
 
-def resonance_suite(seed: int, samples: int) -> SuiteReport:
+def resonance_suite(seed: int, samples: int = 10_000) -> SuiteReport:
     """Identity defect of the closed-form resonance, both branches, alpha in
     {-1, 0, 1}; passes when every defect is <= 1e-9."""
     rows = []
@@ -104,7 +104,7 @@ def resonance_suite(seed: int, samples: int) -> SuiteReport:
 # -- kp2 lower bound ----------------------------------------------------------
 
 
-def kp2bound_suite(seed: int, samples: int) -> SuiteReport:
+def kp2bound_suite(seed: int, samples: int = 10_000) -> SuiteReport:
     """KP-II resonance magnitude against max^4 * min at alpha = 0; the generic
     batch is augmented with the worst-case parallel-line family mu1/xi1 =
     mu2/xi2.  Passes when every ratio is >= 1."""
@@ -134,7 +134,7 @@ def kp2bound_suite(seed: int, samples: int) -> SuiteReport:
 
 def strichartz_suite(
     seed: int,
-    samples: int,
+    samples: int = 100,
     j_values: tuple[int, ...] = tuple(range(9)),
     r: float = 4.0,
     T: float = 0.5,
@@ -333,13 +333,5 @@ def run_suite(name: str, seed: int, samples: int | None = None) -> SuiteReport:
     """Dispatch a named suite with its default sample count unless overridden."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
-    defaults = {
-        "resonance": 10_000,
-        "kp2bound": 10_000,
-        "strichartz": 100,
-        "convolution": 201,
-        "dyadic": 1_000_000,
-        "unitarity": 100,
-    }
-    count = defaults[name] if samples is None else samples
-    return SUITES[name](seed, count)
+    suite = SUITES[name]
+    return suite(seed) if samples is None else suite(seed, samples)

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dispersion import DispersionParams, ZeroModePolicy
 from .errors import SingularSymbolError, SymbolEvaluationError, ZeroMassViolationError
-from .field import Field, hermitian_reflect
+from .field import Field, is_hermitian
 from .grid import SpectralGrid
 
 __all__ = [
@@ -26,24 +26,22 @@ __all__ = [
     "dealias",
     "x_derivative",
     "x_antiderivative",
+    "has_zero_x_mean",
     "require_zero_x_mean",
 ]
 
-_HERMITIAN_TOL = 1e-12
 _ZERO_LINE_TOL = 1e-12
 
 
-def _is_hermitian(values: np.ndarray) -> bool:
-    scale = float(np.max(np.abs(values)))
-    if scale == 0.0:
-        return True
-    defect = float(np.max(np.abs(values - hermitian_reflect(values))))
-    return defect <= _HERMITIAN_TOL * scale
+def has_zero_x_mean(f) -> bool:
+    """True unless the xi = 0 spectral line of ``f`` (a ``Field`` or a
+    ``SpaceTimeField``) carries more than 1e-12 of its peak coefficient."""
+    return not f.x_mean_content() > _ZERO_LINE_TOL
 
 
 def require_zero_x_mean(f, what: str = "operation", error_cls=ZeroMassViolationError) -> None:
-    """Raise unless the field's xi = 0 spectral line is (numerically) zero."""
-    if f.x_mean_content() > _ZERO_LINE_TOL:
+    """Raise ``error_cls`` unless ``has_zero_x_mean(f)``."""
+    if not has_zero_x_mean(f):
         raise error_cls(f"{what} requires zero x-mean but the xi=0 line carries content")
 
 
@@ -84,7 +82,7 @@ def apply_symbol(f: Field, m: Callable, params: DispersionParams | None = None) 
     # mode the field populates, so test the product rather than the symbol
     # (the derivative multiplier i*xi is asymmetric only at the empty Nyquist
     # column of dealiased fields)
-    reality = f.reality and _is_hermitian(out)
+    reality = f.reality and is_hermitian(out)
     return Field(grid, out, reality)
 
 

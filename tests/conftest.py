@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from kp5 import DispersionParams, KPSign, make_grid
+
+# derandomized and without an example database, so every run draws the same
+# examples and the suite stays reproducible
+settings.register_profile("kp5", derandomize=True, database=None, deadline=None, max_examples=50)
+settings.load_profile("kp5")
 
 
 @pytest.fixture

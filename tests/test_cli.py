@@ -182,3 +182,28 @@ def test_resonance_map_rows(tmp_path):
     assert len(rows) == 1 + 2 * 2 * 2 * 2
     first = rows[1].split(",")
     assert float(first[4]) == pytest.approx(30.0)  # (1,1,0,0) resonance
+
+
+def test_verify_takes_the_lock_before_running_the_suite(tmp_path, monkeypatch):
+    calls = []
+    monkeypatch.setattr("kp5.cli.run_suite", lambda *args: calls.append(args))
+    out = tmp_path / "locked"
+    out.mkdir()
+    (out / ".kp5.lock").touch()
+    assert main(["verify", "dyadic", "--out", str(out), "--quiet"]) == 4
+    assert calls == []
+
+
+@pytest.mark.parametrize(
+    "argv, threads",
+    [
+        (["verify", "nosuchsuite"], "1"),
+        (["verify", "dyadic"], "zero"),
+        (["verify", "resonance", "--samples", "0"], "1"),
+    ],
+)
+def test_verify_config_errors_create_no_directory(tmp_path, monkeypatch, argv, threads):
+    monkeypatch.setenv("KP5_THREADS", threads)
+    out = tmp_path / "never"
+    assert main(argv + ["--out", str(out), "--quiet"]) == 2
+    assert not out.exists()

@@ -1,6 +1,11 @@
+import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
+
+import kp5.config
 
 from kp5 import GaussianData, KPSign, ModeSumData, RandomShellData, ZeroModePolicy, load_config, parse_config
 from kp5.errors import ConfigError
@@ -26,6 +31,23 @@ def test_minimal_document_defaults():
     assert cfg.monitors == ()
     assert cfg.output_directory == "kp5-out"
     assert cfg.snapshot_stride == 0
+
+
+def _documented_defaults():
+    """The "defaults shown explicitly" JSON blocks of README.md and of the
+    kp5.config docstring."""
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = re.search(r"Defaults shown\s+explicitly:\s+```json\n(.*?)```", readme, re.S)
+    doc = re.search(r"code-block:: json\n(.*?)\n\S", kp5.config.__doc__, re.S)
+    return {"README.md": block.group(1), "kp5.config": doc.group(1)}
+
+
+@pytest.mark.parametrize("source", ["README.md", "kp5.config"])
+def test_documented_defaults_are_the_parser_defaults(source):
+    explicit = json.loads(_documented_defaults()[source])
+    minimal = {"grid": explicit["grid"], "solver": {k: explicit["solver"][k] for k in ("dt", "t_final")}}
+    parsed = dataclasses.replace(parse_config(explicit), raw={})
+    assert parsed == dataclasses.replace(parse_config(minimal), raw={})
 
 
 def test_unknown_keys_rejected_everywhere():

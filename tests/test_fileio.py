@@ -8,10 +8,12 @@ from kp5.errors import FormatError
 from kp5.fileio import (
     KP5F_MAGIC,
     KP5F_VERSION,
+    atomic_writer,
     config_sha256,
     diagnostics_csv,
     format_float,
     read_field,
+    write_csv,
     write_field,
 )
 
@@ -101,6 +103,35 @@ def test_diagnostics_csv_layout():
     assert lines[1] == "0,1"
     assert lines[2] == "0.5,2"
     assert text.endswith("\n")
+
+
+def test_csv_cells_format_floats_only(tmp_path):
+    rows = [{"n": 3, "name": "kp1", "x": np.float64(0.1), "y": 2.0}]
+    write_csv(tmp_path / "rows.csv", rows, ("n", "name", "x", "y"))
+    assert (tmp_path / "rows.csv").read_text() == "n,name,x,y\n3,kp1,0.10000000000000001,2\n"
+
+
+def test_atomic_writer_failure_leaves_target_intact(tmp_path):
+    target = tmp_path / "artifact.bin"
+    target.write_bytes(b"previous")
+    with pytest.raises(RuntimeError):
+        with atomic_writer(target) as fh:
+            fh.write(b"partial")
+            raise RuntimeError("interrupted mid-write")
+    assert target.read_bytes() == b"previous"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact.bin"]
+
+    fresh = tmp_path / "fresh.bin"
+    with pytest.raises(RuntimeError):
+        with atomic_writer(fresh) as fh:
+            fh.write(b"partial")
+            raise RuntimeError("interrupted mid-write")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact.bin"]
+
+    with atomic_writer(target) as fh:
+        fh.write(b"complete")
+    assert target.read_bytes() == b"complete"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["artifact.bin"]
 
 
 def test_config_sha256_stable_under_key_order():
