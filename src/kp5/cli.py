@@ -3,9 +3,9 @@
 Subcommands: ``simulate`` (time-march a config), ``picard`` (fixed-point
 iteration), ``verify`` (seeded verification suites), ``norms`` (all norms of
 a dumped field), ``resonance-map`` (level-set export).  Exit codes: 0 ok,
-2 config error or unknown suite, 3 blow-up, 4 I/O trouble (including a held
-output-directory lock), 5 contraction failure; ``verify`` exits 1 when its
-assertions fail.  Every artifact of a seeded run is byte-reproducible.
+2 config error, unknown suite or a sample count below 1, 3 blow-up, 4 I/O
+trouble (including a held output-directory lock), 5 contraction failure;
+``verify`` exits 1 when its assertions fail.  Every artifact of a seeded run is byte-reproducible.
 """
 
 from __future__ import annotations
@@ -14,7 +14,9 @@ import argparse
 import json
 import os
 import platform
+import socket
 import sys
+from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
@@ -43,9 +45,9 @@ _LOCK_NAME = ".kp5.lock"
 
 
 class _OutputDir:
-    """Exclusive ownership of an output directory via a lock file.  A
-    directory this run created is removed again if the run fails before
-    writing anything into it."""
+    """Exclusive ownership of an output directory via a lock file that names
+    its holder (pid, host, UTC start time).  A directory this run created is
+    removed again if the run fails before writing anything into it."""
 
     def __init__(self, path: str):
         self.path = Path(path)
@@ -55,13 +57,17 @@ class _OutputDir:
     def __enter__(self) -> Path:
         self._created = not self.path.exists()
         self.path.mkdir(parents=True, exist_ok=True)
+        lock = self.path / _LOCK_NAME
         try:
-            self._fd = os.open(self.path / _LOCK_NAME, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            self._fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
-            raise OSError(
-                f"output directory {self.path} is locked by another run "
-                f"(stale {_LOCK_NAME}? remove it to proceed)"
-            ) from None
+            raise OSError(f"output directory {self.path} is locked: {_lock_holder(lock)}") from None
+        holder = {
+            "pid": os.getpid(),
+            "host": socket.gethostname(),
+            "started": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
+        }
+        os.write(self._fd, json.dumps(holder).encode())
         return self.path
 
     def __exit__(self, exc_type, *exc) -> None:
@@ -70,6 +76,27 @@ class _OutputDir:
             (self.path / _LOCK_NAME).unlink(missing_ok=True)
         if exc_type is not None and self._created and not any(self.path.iterdir()):
             self.path.rmdir()
+
+
+def _lock_holder(lock: Path) -> str:
+    """Who holds ``lock`` and, on this host, whether that process still runs.
+    Lock files without a readable holder (older kp5 wrote them empty) still
+    get a message."""
+    try:
+        holder = json.loads(lock.read_text())
+        pid, host, started = int(holder["pid"]), str(holder["host"]), str(holder["started"])
+    except (OSError, ValueError, TypeError, KeyError):
+        return f"{_LOCK_NAME} names no holder (stale? remove it to proceed)"
+    who = f"held by pid {pid} on {host} since {started}"
+    if host != socket.gethostname() or not 0 < pid < 2**31:
+        return f"{who} (remove {_LOCK_NAME} if that run is gone)"
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return f"{who}, which is no longer running (stale lock: remove {_LOCK_NAME} to proceed)"
+    except PermissionError:
+        pass
+    return f"{who}, which is still running"
 
 
 def _versions() -> dict:
@@ -202,6 +229,9 @@ def cmd_verify(args) -> int:
     # validate, then lock, then run: a held lock must not cost a whole suite
     if args.suite not in SUITES:
         print(f"error: unknown suite {args.suite!r}; choose from {sorted(SUITES)}", file=sys.stderr)
+        return EXIT_CONFIG
+    if args.samples is not None and args.samples < 1:
+        print(f"error: --samples must be >= 1, got {args.samples}", file=sys.stderr)
         return EXIT_CONFIG
     thread_budget()
     try:

@@ -12,7 +12,7 @@ the modulation variable is ``sigma = tau - omega``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -45,6 +45,20 @@ def _sigma_lattice(
     temporal frequencies tau = 2*pi*k/t_window in fftfreq order."""
     tau = 2.0 * np.pi * np.fft.fftfreq(nt, d=t_window / nt)
     return tau[:, None, None] - omega_on_grid(grid, params)[None, :, :]
+
+
+# Two entries: a sweep works through its shells in order, so at most two shells
+# are in flight across its workers.  Holding more would keep every shell's
+# weight (8*nt*ny*nx bytes each) alive for the life of the process.
+@lru_cache(maxsize=2)
+def _shell_weight(
+    grid: SpectralGrid, nt: int, t_window: float, params: DispersionParams, j: int
+) -> np.ndarray:
+    """Write-locked dyadic shell weight eta_j(tau - omega) on the (nt, ny, nx)
+    lattice; every sample of a shell shares it."""
+    weight = dyadic_eta(j, _sigma_lattice(grid, nt, t_window, params))
+    weight.flags.writeable = False
+    return weight
 
 
 @dataclass(frozen=True)
@@ -101,8 +115,15 @@ class SpaceTimeField(_Spectrum):
 
     # -- representations -------------------------------------------------------
 
-    def to_physical(self) -> np.ndarray:
-        return np.fft.ifft2(np.fft.fft(self.data, axis=0, norm="ortho"), axes=(1, 2), norm="ortho")
+    def to_physical(self, keep: np.ndarray | None = None) -> np.ndarray:
+        """Physical samples ``u[it, iy, ix]``.  ``keep`` (a boolean mask or
+        index array over the nt samples) selects time slices: the temporal
+        transform still runs over all samples, the spatial one only over the
+        selected slices, and the result equals ``to_physical()[keep]``."""
+        spatial = np.fft.fft(self.data, axis=0, norm="ortho")
+        if keep is not None:
+            spatial = spatial[keep]
+        return np.fft.ifft2(spatial, axes=(1, 2), norm="ortho")
 
     def slices(self) -> tuple[Field, ...]:
         """Single-time fields at each sample time."""
@@ -131,7 +152,7 @@ def random_modulation_shell(
     params: DispersionParams,
 ) -> SpaceTimeField:
     """Random coefficients weighted by the j-th dyadic modulation shell."""
-    weight = dyadic_eta(j, _sigma_lattice(grid, nt, float(t_window), params))
+    weight = _shell_weight(grid, nt, float(t_window), params, j)
     rng = np.random.default_rng(seed)
     shape = (nt, grid.ny, grid.nx)
     coeffs = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * weight
@@ -168,9 +189,13 @@ def modulation_project(
     if variant not in ("modulus", "keep_phase"):
         raise ValueError(f"variant must be 'modulus' or 'keep_phase', got {variant!r}")
     require_zero_x_mean(u, "modulation projection")
-    weight = dyadic_eta(j, u.sigma(params))
-    base = np.abs(u.data).astype(np.complex128) if variant == "modulus" else u.data
-    coeffs = weight * base
+    weight = _shell_weight(u.grid, u.nt, u.t_window, params, j)
+    if variant == "modulus":
+        # widen after the float product: same bits as weighting a complex
+        # |u| (its imaginary parts are +0), without the complex temporary
+        coeffs = (weight * np.abs(u.data)).astype(np.complex128)
+    else:
+        coeffs = weight * u.data
     coeffs[:, :, 0] = 0.0
     return SpaceTimeField(u.grid, u.nt, u.t_window, coeffs)
 
@@ -214,11 +239,10 @@ def strichartz_ratio(
     weight = np.abs(u.grid.xi_mesh) ** exponent
     # rebinding fj releases the unweighted shell before the transforms run
     fj = SpaceTimeField(u.grid, u.nt, u.t_window, fj.data * weight[None, :, :])
-    phys = fj.to_physical()
     keep = _restriction_mask(u, T)
     if not np.any(keep):
         raise UndefinedRatioError("no time samples fall inside [-T, T]")
-    magnitudes = np.abs(phys[keep])
+    magnitudes = np.abs(fj.to_physical(keep))
     area = u.grid.cell_area
     inner = (np.sum(magnitudes**r, axis=(1, 2)) * area) ** (1.0 / r)
     if r == 2:

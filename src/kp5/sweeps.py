@@ -333,5 +333,7 @@ def run_suite(name: str, seed: int, samples: int | None = None) -> SuiteReport:
     """Dispatch a named suite with its default sample count unless overridden."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
+    if samples is not None and samples < 1:
+        raise ValueError(f"sample count must be >= 1, got {samples}")
     suite = SUITES[name]
     return suite(seed) if samples is None else suite(seed, samples)

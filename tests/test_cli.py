@@ -1,4 +1,8 @@
 import json
+import os
+import socket
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -207,3 +211,69 @@ def test_verify_config_errors_create_no_directory(tmp_path, monkeypatch, argv, t
     out = tmp_path / "never"
     assert main(argv + ["--out", str(out), "--quiet"]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "unitarity", "--samples", "0"],
+        ["verify", "unitarity", "--samples", "-1"],
+        ["verify", "convolution", "--samples", "0"],
+        ["verify", "strichartz", "--samples", "-1"],
+    ],
+)
+def test_verify_rejects_non_positive_samples(tmp_path, capsys, argv):
+    out = tmp_path / "never"
+    assert main(argv + ["--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_lock_names_its_holder_while_held(tmp_path, monkeypatch):
+    seen = []
+
+    def run_suite(*args):
+        seen.append(json.loads((tmp_path / "held" / ".kp5.lock").read_text()))
+        raise ValueError("stop here")
+
+    monkeypatch.setattr("kp5.cli.run_suite", run_suite)
+    assert main(["verify", "dyadic", "--out", str(tmp_path / "held"), "--quiet"]) == 2
+    assert seen[0]["pid"] == os.getpid()
+    assert seen[0]["host"] == socket.gethostname()
+    assert seen[0]["started"].endswith("Z")
+    assert not (tmp_path / "held").exists()  # lock released, empty directory removed
+
+
+def _locked_dir(tmp_path, text):
+    out = tmp_path / "locked"
+    out.mkdir()
+    (out / ".kp5.lock").write_text(text)
+    return out
+
+
+def test_lock_held_by_a_dead_process_is_reported_stale(tmp_path, capsys):
+    child = subprocess.Popen([sys.executable, "-c", ""])
+    child.wait(timeout=60)  # reaped, so its pid names no running process
+    holder = {"pid": child.pid, "host": socket.gethostname(), "started": "2026-01-02T03:04:05Z"}
+    out = _locked_dir(tmp_path, json.dumps(holder))
+    assert main(["verify", "dyadic", "--out", str(out), "--quiet"]) == 4
+    err = capsys.readouterr().err
+    assert f"pid {child.pid}" in err and "2026-01-02T03:04:05Z" in err
+    assert "no longer running" in err
+    assert sorted(p.name for p in out.iterdir()) == [".kp5.lock"]
+
+
+def test_lock_held_by_a_live_process_says_so(tmp_path, capsys):
+    holder = {"pid": os.getpid(), "host": socket.gethostname(), "started": "2026-01-02T03:04:05Z"}
+    out = _locked_dir(tmp_path, json.dumps(holder))
+    assert main(["verify", "dyadic", "--out", str(out), "--quiet"]) == 4
+    assert "still running" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["", "not json", '{"pid": "x"}'])
+def test_legacy_or_unreadable_lock_is_a_clean_io_error(tmp_path, capsys, text):
+    out = _locked_dir(tmp_path, text)
+    assert main(["verify", "dyadic", "--out", str(out), "--quiet"]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("i/o error:") and "names no holder" in err

@@ -84,3 +84,12 @@ def test_linear_flow_group_law(seed, t, s, alpha, sign):
     composed = linear_propagate(linear_propagate(f, t, params), s, params)
     direct = linear_propagate(f, t + s, params)
     assert (composed - direct).l2_norm() <= 1e-11 * f.l2_norm()
+
+
+@given(nt=st.integers(min_value=1, max_value=12), n=sizes, seed=seeds, data=st.data())
+def test_selected_time_slices_transform_like_the_full_field(nt, n, seed, data):
+    grid = make_grid(n, n, 2 * np.pi, 2 * np.pi)
+    coeffs = _complex(np.random.default_rng(seed), (nt, n, n))
+    u = SpaceTimeField.from_spectral(grid, 2 * np.pi, coeffs)
+    keep = np.array(data.draw(st.lists(st.booleans(), min_size=nt, max_size=nt)))
+    assert u.to_physical(keep).tobytes() == u.to_physical()[keep].tobytes()

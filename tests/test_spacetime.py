@@ -226,3 +226,30 @@ def test_random_shell_determinism(grid16, kp1):
     assert np.array_equal(a.data, b.data)
     c = random_modulation_shell(grid16, NT, TW, 3, 43, kp1)
     assert not np.array_equal(a.data, c.data)
+
+
+def test_shell_weight_is_cached_locked_and_exact(grid16, kp1):
+    from kp5.cutoffs import dyadic_eta
+    from kp5.spacetime import _shell_weight, _sigma_lattice
+
+    weight = _shell_weight(grid16, NT, TW, kp1, 3)
+    assert _shell_weight(grid16, NT, TW, kp1, 3) is weight
+    assert not weight.flags.writeable
+    with pytest.raises(ValueError):
+        weight[0, 0, 0] = 1.0
+    fresh = dyadic_eta(3, _sigma_lattice(grid16, NT, TW, kp1))
+    assert weight.tobytes() == fresh.tobytes()
+
+
+@pytest.mark.parametrize("j", [0, 2, 5])
+def test_modulus_projection_matches_the_complex_copy_formula(grid16, kp1, j):
+    from kp5.cutoffs import dyadic_eta
+    from kp5.spacetime import _sigma_lattice
+
+    st = _zero_mean_spectral(grid16, np.random.default_rng(4))
+    expected = dyadic_eta(j, _sigma_lattice(grid16, NT, TW, kp1)) * np.abs(st.data).astype(
+        np.complex128
+    )
+    expected[:, :, 0] = 0.0
+    got = modulation_project(st, j, kp1, variant="modulus").data
+    assert got.tobytes() == expected.tobytes()

@@ -1,12 +1,22 @@
 import pytest
 
+import kp5.spacetime
+from kp5.cutoffs import dyadic_eta
 from kp5.errors import ConfigError
-from kp5.sweeps import run_suite, strichartz_suite, thread_budget
+from kp5.spacetime import _shell_weight
+from kp5.sweeps import SUITES, run_suite, strichartz_suite, thread_budget
 
 
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError, match="unknown suite"):
         run_suite("nope", 0)
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+@pytest.mark.parametrize("samples", [0, -1])
+def test_non_positive_sample_counts_rejected(name, samples):
+    with pytest.raises(ValueError, match="sample count"):
+        run_suite(name, 0, samples)
 
 
 def test_resonance_suite_small():
@@ -46,6 +56,19 @@ def test_strichartz_worker_count_invariance():
     threaded = strichartz_suite(5, 2, j_values=(0, 3), size=16, threads=4)
     assert serial.rows == threaded.rows
     assert serial.summary == threaded.summary
+
+
+def test_strichartz_computes_each_shell_weight_once(monkeypatch):
+    calls = []
+
+    def counting(j, x):
+        calls.append(j)
+        return dyadic_eta(j, x)
+
+    monkeypatch.setattr(kp5.spacetime, "dyadic_eta", counting)
+    _shell_weight.cache_clear()
+    strichartz_suite(5, 3, j_values=(0, 2, 3), size=16, threads=1)
+    assert calls == [0, 2, 3]
 
 
 def test_thread_budget_env(monkeypatch):
