@@ -23,7 +23,7 @@ import numpy as np
 from .cutoffs import cutoff_psi, cutoff_psi_T
 from .dispersion import DispersionParams, omega_on_grid
 from .errors import ContractionFailureError
-from .evolution import SolverConfig, Trajectory, _diagnostics_record
+from .evolution import SolverConfig, Trajectory, _diagnostics_record, _diagnostics_tables
 from .field import Field
 from .norms import NormSpec
 from .symbols import require_zero_x_mean, zero_mode_project
@@ -80,6 +80,9 @@ def duhamel_picard(
     n_nodes = cfg.n_steps * sub + 1
     t = np.arange(n_nodes) * h
 
+    # the diagnostics run after the iteration; their caches are filled now,
+    # before the node arrays grow the heap
+    _diagnostics_tables(grid, params.alpha, monitors)
     omega = omega_on_grid(grid, params)
     phase_fwd = np.exp(-1j * t[:, None, None] * omega[None, :, :])
     phase_back = np.conj(phase_fwd)

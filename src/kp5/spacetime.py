@@ -21,7 +21,7 @@ from .dispersion import DispersionParams, omega_on_grid
 from .errors import UndefinedRatioError
 from .field import Field, _Spectrum, _take
 from .grid import SpectralGrid
-from .norms import NormSpec, bracket
+from .norms import NormSpec, _sobolev_weights, bracket
 from .symbols import require_zero_x_mean, zero_mode_project
 
 __all__ = [
@@ -167,9 +167,8 @@ def bourgain_norm(u: SpaceTimeField, spec: NormSpec, params: DispersionParams) -
     anything else raises a zero-mass violation.
     """
     require_zero_x_mean(u, "modulation-weighted norm")
-    grid = u.grid
-    w_space = bracket(grid.xi_mesh) ** spec.s1 * bracket(grid.mu_mesh) ** spec.s2
-    weight = bracket(u.sigma(params)) ** spec.b * w_space[None, :, :]
+    row, col = _sobolev_weights(u.grid, spec.s1, spec.s2)
+    weight = bracket(u.sigma(params)) ** spec.b * (row * col)[None, :, :]
     weight[:, :, 0] = 0.0
     return float(np.linalg.norm(weight * u.data))
 

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from kp5 import Field, NormSpec, bracket, energy_functional, mass, momentum, sobolev_aniso_norm, tilde_norm, zero_mode_project
+from kp5 import Field, NormSpec, bracket, energy_functional, make_grid, mass, momentum, sobolev_aniso_norm, tilde_norm, zero_mode_project
 from kp5.errors import NormSpecError, ZeroMassViolationError
+from kp5.norms import _energy_weights, _sobolev_weights
 
 
 def test_bracket_values():
@@ -113,3 +114,41 @@ def test_mass_and_momentum(grid16):
     assert momentum(f) == pytest.approx(0.0, abs=1e-12)
     const = Field.from_physical(grid16, np.full(grid16.shape, 2.0))
     assert momentum(const) == pytest.approx(2.0 * grid16.lx * grid16.ly, rel=1e-12)
+
+
+# -- cached weight tables ----------------------------------------------------
+
+
+def test_energy_weights_are_the_documented_formula_write_locked():
+    grid = make_grid(16, 8, 5.0, 3.0)
+    alpha = 0.7
+    poly, xi_safe = _energy_weights(grid, alpha)
+    xi = grid.xi[None, :]
+    assert not poly.flags.writeable and not xi_safe.flags.writeable
+    assert poly.shape == xi_safe.shape == (1, grid.nx)
+    assert poly.tobytes() == (0.5 * xi**4 - 0.5 * alpha * xi**2).tobytes()
+    assert xi_safe.tobytes() == np.where(xi == 0.0, 1.0, xi).tobytes()
+    assert _energy_weights(make_grid(16, 8, 5.0, 3.0), alpha) is _energy_weights(grid, alpha)
+    assert _energy_weights(grid, -alpha) is not _energy_weights(grid, alpha)
+
+
+def test_sobolev_weights_are_the_documented_formula_write_locked():
+    grid = make_grid(16, 8, 5.0, 3.0)
+    row, col = _sobolev_weights(grid, 1.5, 0.5)
+    assert not row.flags.writeable and not col.flags.writeable
+    assert row.shape == (1, grid.nx) and col.shape == (grid.ny, 1)
+    expected = bracket(grid.xi_mesh) ** 1.5 * bracket(grid.mu_mesh) ** 0.5
+    assert (row * col).tobytes() == expected.tobytes()
+    assert _sobolev_weights(make_grid(16, 8, 5.0, 3.0), 1.5, 0.5) is _sobolev_weights(grid, 1.5, 0.5)
+    assert _sobolev_weights(grid, 0.5, 1.5) is not _sobolev_weights(grid, 1.5, 0.5)
+
+
+def test_sobolev_cache_holds_the_nine_pair_loop_and_two_monitors(grid16):
+    assert _sobolev_weights.cache_info().maxsize >= 11
+    f = Field.single_mode(grid16, 1, 2)
+    _sobolev_weights.cache_clear()
+    for _ in range(2):
+        for s1 in (0, 1, 2):
+            for s2 in (0, 1, 2):
+                sobolev_aniso_norm(f, NormSpec(float(s1), float(s2)))
+    assert _sobolev_weights.cache_info().misses == 9

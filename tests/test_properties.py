@@ -6,7 +6,19 @@ import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
-from kp5 import DispersionParams, Field, KPSign, SpaceTimeField, make_grid
+from kp5 import (
+    DispersionParams,
+    Field,
+    KPSign,
+    NormSpec,
+    SpaceTimeField,
+    bracket,
+    dispersion_omega,
+    energy_functional,
+    make_grid,
+    resonance,
+    sobolev_aniso_norm,
+)
 from kp5.errors import ZeroMassViolationError
 from kp5.evolution import linear_propagate
 from kp5.field import hermitian_reflect
@@ -93,3 +105,72 @@ def test_selected_time_slices_transform_like_the_full_field(nt, n, seed, data):
     u = SpaceTimeField.from_spectral(grid, 2 * np.pi, coeffs)
     keep = np.array(data.draw(st.lists(st.booleans(), min_size=nt, max_size=nt)))
     assert u.to_physical(keep).tobytes() == u.to_physical()[keep].tobytes()
+
+
+def _random_zero_mean(nx, ny, lx, ly, seed):
+    grid = make_grid(nx, ny, lx, ly)
+    samples = np.random.default_rng(seed).standard_normal(grid.shape)
+    return zero_mode_project(Field.from_physical(grid, samples))
+
+
+lengths = st.floats(min_value=0.5, max_value=100.0)
+
+
+@given(
+    nx=sizes, ny=sizes, lx=lengths, ly=lengths, seed=seeds,
+    alpha=st.floats(min_value=-2.0, max_value=2.0),
+)
+def test_energy_functional_matches_the_uncached_formula(nx, ny, lx, ly, seed, alpha):
+    f = _random_zero_mean(nx, ny, lx, ly, seed)
+    grid = f.grid
+    xi = grid.xi_mesh
+    mu = grid.mu_mesh
+    xi_safe = np.where(xi == 0.0, 1.0, xi)
+    weights = 0.5 * xi**4 - 0.5 * alpha * xi**2 + 0.5 * (mu / xi_safe) ** 2
+    weights[:, 0] = 0.0
+    quadratic = grid.cell_area * float(np.sum(weights * np.abs(f.data) ** 2))
+    u = np.real(f.to_physical())
+    cubic = grid.cell_area * float(np.sum(u**3)) / 6.0
+    energy = energy_functional(f, alpha)
+    # the weights are unchanged bit for bit; u * u * u and u**3 may differ
+    # in the last bit of each sample
+    assert energy == quadratic + grid.cell_area * float(np.sum(u * u * u)) / 6.0
+    tolerance = 4 * np.finfo(float).eps * (abs(quadratic) + abs(cubic))
+    assert abs(energy - (quadratic + cubic)) <= tolerance
+
+
+@given(
+    nx=sizes, ny=sizes, lx=lengths, ly=lengths, seed=seeds,
+    s1=st.floats(min_value=0.0, max_value=3.0), s2=st.floats(min_value=0.0, max_value=3.0),
+)
+def test_sobolev_aniso_norm_matches_the_uncached_formula(nx, ny, lx, ly, seed, s1, s2):
+    f = _random_zero_mean(nx, ny, lx, ly, seed)
+    w = bracket(f.grid.xi_mesh) ** s1 * bracket(f.grid.mu_mesh) ** s2
+    assert sobolev_aniso_norm(f, NormSpec(s1, s2)) == float(np.linalg.norm(w * f.data))
+
+
+# the resonance suite's draw: sign times a log-uniform magnitude in [1e-2, 1e2]
+frequencies = st.builds(
+    lambda exponent, sign: sign * 10.0**exponent,
+    st.floats(min_value=-2.0, max_value=2.0),
+    st.sampled_from([-1.0, 1.0]),
+)
+
+
+@given(
+    xi1=frequencies, xi2=frequencies, mu1=frequencies, mu2=frequencies,
+    alpha=st.floats(min_value=-2.0, max_value=2.0),
+    sign=st.sampled_from(list(KPSign)),
+)
+def test_resonance_identity_holds_to_rounding(xi1, xi2, mu1, mu2, alpha, sign):
+    """The closed form equals omega(sum) - omega_1 - omega_2 up to a rounding
+    bound scaled by the terms of the difference, away from the degenerate
+    surface the suite rejects (|xi1 + xi2| < 1e-3)."""
+    assume(abs(xi1 + xi2) >= 1e-3)
+    params = DispersionParams(kp_sign=sign, alpha=alpha)
+    closed = resonance(xi1, xi2, mu1, mu2, params)
+    w_sum = dispersion_omega(xi1 + xi2, mu1 + mu2, params)
+    w1 = dispersion_omega(xi1, mu1, params)
+    w2 = dispersion_omega(xi2, mu2, params)
+    scale = abs(w_sum) + abs(w1) + abs(w2) + abs(closed)
+    assert abs(closed - (w_sum - w1 - w2)) <= 256 * np.finfo(float).eps * scale
