@@ -3,9 +3,10 @@
 Subcommands: ``simulate`` (time-march a config), ``picard`` (fixed-point
 iteration), ``verify`` (seeded verification suites), ``norms`` (all norms of
 a dumped field), ``resonance-map`` (level-set export).  Exit codes: 0 ok,
-2 config error, unknown suite or a sample count below 1, 3 blow-up, 4 I/O
-trouble (including a held output-directory lock), 5 contraction failure;
-``verify`` exits 1 when its assertions fail.  Every artifact of a seeded run is byte-reproducible.
+2 config error (including a non-finite ``--alpha`` or range bound), unknown
+suite or a sample count below 1, 3 blow-up, 4 I/O trouble (including a held
+output-directory lock), 5 contraction failure; ``verify`` exits 1 when its
+assertions fail.  Every artifact of a seeded run is byte-reproducible.
 """
 
 from __future__ import annotations
@@ -257,7 +258,14 @@ def cmd_verify(args) -> int:
     return EXIT_OK if report.passed else 1
 
 
+def _finite_alpha(alpha: float) -> float:
+    if not np.isfinite(alpha):
+        raise ConfigError(f"--alpha must be finite, got {alpha!r}")
+    return alpha
+
+
 def cmd_norms(args) -> int:
+    alpha = _finite_alpha(args.alpha)
     field, time = read_field(args.field)
     report = {
         "field": os.path.basename(args.field),
@@ -270,7 +278,7 @@ def cmd_norms(args) -> int:
             spec = NormSpec(s1=float(s1), s2=float(s2))
             report[spec.label] = sobolev_aniso_norm(field, spec)
     if has_zero_x_mean(field):
-        report["energy"] = energy_functional(field, args.alpha)
+        report["energy"] = energy_functional(field, alpha)
         report["tilde_2_1"] = tilde_norm(field, 2.0, 1.0)
     payload = _manifest("norms", None, args.seed, "ok", {"norms": report})
     if args.out:
@@ -290,11 +298,13 @@ def _parse_range(text: str, name: str) -> np.ndarray:
         raise ConfigError(f"--{name}: expected lo:hi:count, got {text!r}") from None
     if count < 1:
         raise ConfigError(f"--{name}: count must be positive")
+    if not (np.isfinite(lo) and np.isfinite(hi)):
+        raise ConfigError(f"--{name}: lo and hi must be finite, got {text!r}")
     return np.linspace(lo, hi, count)
 
 
 def cmd_resonance_map(args) -> int:
-    params = DispersionParams(kp_sign=KPSign(args.kp_sign), alpha=args.alpha)
+    params = DispersionParams(kp_sign=KPSign(args.kp_sign), alpha=_finite_alpha(args.alpha))
     xi1s = _parse_range(args.xi1, "xi1")
     xi2s = _parse_range(args.xi2, "xi2")
     mu1s = _parse_range(args.mu1, "mu1")

@@ -2,7 +2,9 @@
 
 One bump serves everything: ``psi`` equals 1 on [-1, 1], vanishes outside
 (-2, 2), and is assembled from the standard mollifier ``B(s) = exp(-1/s)``
-(s > 0) as ``psi(t) = B(2-|t|) / (B(2-|t|) + B(|t|-1))``.  The dyadic shells
+(s > 0) as ``psi(t) = B(2-|t|) / (B(2-|t|) + B(|t|-1))``.  Only the band
+1 < |t| < 2 takes that formula; everywhere else (and at NaN) ``psi`` is the
+plateau value 1 or 0 by construction, not by rounding.  The dyadic shells
 ``eta_j`` telescope exactly: ``sum_{j<=J} eta_j(x) == psi(2**-J * x)``.
 """
 
@@ -13,21 +15,16 @@ import numpy as np
 __all__ = ["cutoff_psi", "cutoff_psi_T", "dyadic_eta"]
 
 
-def _bump(s: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(s, dtype=float)
-    pos = s > 0
-    with np.errstate(divide="ignore", over="ignore"):
-        out[pos] = np.exp(-1.0 / s[pos])
-    return out
-
-
 def cutoff_psi(t):
     """Smooth plateau cutoff: exactly 1 on [-1, 1], exactly 0 outside (-2, 2)."""
     t_in = np.asarray(t, dtype=float)
     t_abs = np.atleast_1d(np.abs(t_in))
-    num = _bump(2.0 - t_abs)
-    den = num + _bump(t_abs - 1.0)
-    out = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+    out = (t_abs <= 1.0).astype(float)
+    band = (t_abs > 1.0) & (t_abs < 2.0)
+    s = t_abs[band]
+    # on the band 2 - s and s - 1 lie in (0, 1) and sum to 1, so den >= exp(-2)
+    num = np.exp(-1.0 / (2.0 - s))
+    out[band] = num / (num + np.exp(-1.0 / (s - 1.0)))
     return float(out[0]) if t_in.ndim == 0 else out
 
 

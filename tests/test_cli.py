@@ -188,6 +188,40 @@ def test_resonance_map_rows(tmp_path):
     assert float(first[4]) == pytest.approx(30.0)  # (1,1,0,0) resonance
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["resonance-map", "--alpha=nan"],
+        ["resonance-map", "--alpha=inf"],
+        ["resonance-map", "--alpha=-inf"],
+        ["resonance-map", "--xi1=0:nan:3"],
+        ["resonance-map", "--xi2=-inf:1:3"],
+        ["resonance-map", "--mu1=0:inf:2"],
+        ["resonance-map", "--mu2=nan:nan:1"],
+    ],
+)
+def test_resonance_map_rejects_non_finite_inputs(tmp_path, capsys, argv):
+    out = tmp_path / "never"
+    assert main(argv + ["--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf"])
+def test_norms_rejects_non_finite_alpha(tmp_path, capsys, alpha):
+    cfg = _write_config(tmp_path / "cfg.json")
+    run = tmp_path / "run"
+    assert main(["simulate", "--config", str(cfg), "--out", str(run), "--quiet"]) == 0
+    out = tmp_path / "never"
+    argv = ["norms", "--field", str(run / "final.kp5f"), f"--alpha={alpha}", "--out", str(out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:") and "Traceback" not in captured.err
+    assert not out.exists()
+
+
 def test_verify_takes_the_lock_before_running_the_suite(tmp_path, monkeypatch):
     calls = []
     monkeypatch.setattr("kp5.cli.run_suite", lambda *args: calls.append(args))

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from kp5 import (
     DispersionParams,
@@ -13,7 +14,9 @@ from kp5 import (
     NormSpec,
     SpaceTimeField,
     bracket,
+    cutoff_psi,
     dispersion_omega,
+    dyadic_eta,
     energy_functional,
     make_grid,
     resonance,
@@ -174,3 +177,47 @@ def test_resonance_identity_holds_to_rounding(xi1, xi2, mu1, mu2, alpha, sign):
     w2 = dispersion_omega(xi2, mu2, params)
     scale = abs(w_sum) + abs(w1) + abs(w2) + abs(closed)
     assert abs(closed - (w_sum - w1 - w2)) <= 256 * np.finfo(float).eps * scale
+
+
+def _reference_bump(s):
+    out = np.zeros_like(s, dtype=float)
+    pos = s > 0
+    with np.errstate(divide="ignore", over="ignore"):
+        out[pos] = np.exp(-1.0 / s[pos])
+    return out
+
+
+def _reference_psi(t):
+    """The cutoff as first written: both mollifier factors on every point and a
+    guarded division, with no plateau shortcut."""
+    t_abs = np.abs(np.asarray(t, dtype=float))
+    num = _reference_bump(2.0 - t_abs)
+    den = num + _reference_bump(t_abs - 1.0)
+    return np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+
+
+# finite floats over the whole range, mixed with draws near the transition band
+cutoff_points = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-3.0, max_value=3.0),
+)
+
+
+@given(t=arrays(np.float64, st.integers(min_value=1, max_value=64), elements=cutoff_points))
+def test_cutoff_psi_matches_the_full_array_formula_bit_for_bit(t):
+    assert cutoff_psi(t).tobytes() == _reference_psi(t).tobytes()
+    assert np.float64(cutoff_psi(float(t[0]))).tobytes() == _reference_psi(t[:1]).tobytes()
+
+
+@given(
+    x=arrays(
+        np.float64,
+        st.integers(min_value=1, max_value=64),
+        elements=st.one_of(cutoff_points, st.floats(min_value=-(2.0**42), max_value=2.0**42)),
+    )
+)
+def test_dyadic_eta_matches_the_full_array_formula_bit_for_bit(x):
+    assert dyadic_eta(0, x).tobytes() == _reference_psi(x).tobytes()
+    for j in range(1, 41):
+        reference = _reference_psi(np.ldexp(x, -j)) - _reference_psi(np.ldexp(x, 1 - j))
+        assert dyadic_eta(j, x).tobytes() == reference.tobytes(), j
