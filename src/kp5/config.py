@@ -72,13 +72,20 @@ def _number(section: dict, key: str, where: str, default=None):
     return value
 
 
+def _integral(value) -> bool:
+    """True for an integer or a finite integral float, never for a boolean."""
+    if isinstance(value, float):
+        return value.is_integer()
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _parse_grid(section) -> SpectralGrid:
     if not isinstance(section, dict):
         raise ConfigError("grid: expected an object")
     _require_keys(section, {"nx", "ny", "lx", "ly"}, {"nx", "ny", "lx", "ly"}, "grid")
     try:
         return make_grid(section["nx"], section["ny"], section["lx"], section["ly"])
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"grid: {exc}") from exc
 
 
@@ -109,6 +116,9 @@ def _parse_solver(section) -> SolverConfig:
         raise ConfigError("solver: expected an object")
     allowed = {"dt", "t_final", "picard_max_iters", "picard_tol", "quadrature_nodes", "cutoff_T"}
     _require_keys(section, allowed, {"dt", "t_final"}, "solver")
+    for key in ("picard_max_iters", "quadrature_nodes"):
+        if key in section and not _integral(section[key]):
+            raise ConfigError(f"solver.{key}: expected an integer, got {section[key]!r}")
     try:
         return SolverConfig(
             dt=float(_number(section, "dt", "solver")),
@@ -156,7 +166,7 @@ def _parse_initial(section):
             if not (isinstance(entry, list) and len(entry) == 4):
                 raise ConfigError(f"initial_data.modes: expected [k, l, amplitude, phase], got {entry!r}")
             k, l, amp, phase = entry
-            if k != int(k) or l != int(l):
+            if not (_integral(k) and _integral(l)):
                 raise ConfigError(f"initial_data.modes: k, l must be integers, got {entry!r}")
             parsed.append((int(k), int(l), float(amp), float(phase)))
         return ModeSumData(modes=tuple(parsed))
@@ -164,9 +174,9 @@ def _parse_initial(section):
         _require_keys(section, {"kind", "shell", "seed"}, {"shell", "seed"}, "initial_data(random_shell)")
         shell = section["shell"]
         seed = section["seed"]
-        if shell != int(shell) or int(shell) < 0:
+        if not _integral(shell) or shell < 0:
             raise ConfigError(f"initial_data.shell: expected a nonnegative integer, got {shell!r}")
-        if seed != int(seed):
+        if not _integral(seed):
             raise ConfigError(f"initial_data.seed: expected an integer, got {seed!r}")
         return RandomShellData(shell=int(shell), seed=int(seed))
     if kind == "file":
@@ -203,7 +213,7 @@ def _parse_output(section) -> tuple[str, int]:
     if not isinstance(directory, str):
         raise ConfigError("output.directory: expected a string")
     stride = section.get("snapshot_stride", 0)
-    if isinstance(stride, bool) or stride != int(stride) or int(stride) < 0:
+    if not _integral(stride) or stride < 0:
         raise ConfigError(f"output.snapshot_stride: expected a nonnegative integer, got {stride!r}")
     return directory, int(stride)
 

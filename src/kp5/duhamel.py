@@ -19,12 +19,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from .cutoffs import cutoff_psi, cutoff_psi_T
 from .dispersion import DispersionParams, omega_on_grid
 from .errors import ContractionFailureError
 from .evolution import SolverConfig, Trajectory, _diagnostics_record, _diagnostics_tables
-from .field import Field
+from .field import Field, hermitian_complete
 from .norms import NormSpec
 from .symbols import require_zero_x_mean, zero_mode_project
 
@@ -50,13 +51,15 @@ class PicardResult:
 
 
 def _nonlinear_slices(u: np.ndarray, grid, real: bool) -> np.ndarray:
-    """Batched dealiased d/dx(u^2)/2 on spatial-spectral time slices."""
-    mask = grid.dealias_mask
-    phys = np.fft.ifft2(u * mask, axes=(1, 2), norm="ortho")
-    if real:
-        phys = phys.real
-    squared = np.fft.fft2(phys * phys, axes=(1, 2), norm="ortho")
-    return squared * (0.5j * grid.xi_mesh) * mask
+    """Batched dealiased d/dx(u^2)/2 on time slices of the half (``real``) or full spectrum."""
+    cols = u.shape[-1]
+    mask = grid.dealias_mask[:, :cols]
+    inverse, forward = (scipy.fft.irfft2, scipy.fft.rfft2) if real else (scipy.fft.ifft2, scipy.fft.fft2)
+    phys = inverse(u * mask, s=grid.shape, axes=(1, 2), norm="ortho", overwrite_x=True)
+    phys *= phys
+    out = forward(phys, axes=(1, 2), norm="ortho", overwrite_x=True)
+    out *= 0.5j * grid.xi[:cols] * mask
+    return out
 
 
 def duhamel_picard(
@@ -83,16 +86,23 @@ def duhamel_picard(
     # the diagnostics run after the iteration; their caches are filled now,
     # before the node arrays grow the heap
     _diagnostics_tables(grid, params.alpha, monitors)
-    omega = omega_on_grid(grid, params)
-    phase_fwd = np.exp(-1j * t[:, None, None] * omega[None, :, :])
-    phase_back = np.conj(phase_fwd)
+    # a real phi lives on the half spectrum: every interior column stands for
+    # itself and its Hermitian mirror, so it counts twice in the distance
+    real = phi.reality
+    cols = grid.nx // 2 + 1 if real else grid.nx
+    weights = np.full(cols, 2.0 if real else 1.0)
+    weights[[0, -1]] = 1.0
+    phase_fwd = np.exp(-1j * t[:, None, None] * omega_on_grid(grid, params)[None, :, :cols])
     psi = cutoff_psi(t)[:, None, None]
     psi_t = cutoff_psi_T(t, cfg.cutoff_T)[:, None, None]
 
-    phi_hat = zero_mode_project(phi).data
-    free = psi * (phase_fwd * phi_hat[None, :, :])
+    phi_hat = zero_mode_project(phi).data[:, :cols]
+    free = psi * (phase_fwd * phi_hat)
 
+    # u and new swap roles each round and are updated in place; only the
+    # quadratic term allocates node-sized arrays
     u = free.copy()
+    new = np.empty_like(u)
     distances: list[float] = []
     converged = False
     increases = 0
@@ -100,18 +110,27 @@ def duhamel_picard(
         # overflow during a diverging iteration is expected; it surfaces as a
         # non-finite distance and becomes a contraction failure below
         with np.errstate(over="ignore", invalid="ignore"):
-            integrand = phase_back * _nonlinear_slices(u, grid, phi.reality)
-            prefix = np.concatenate(
-                [
-                    np.zeros((1, grid.ny, grid.nx), dtype=np.complex128),
-                    np.cumsum((integrand[1:] + integrand[:-1]) * (0.5 * h), axis=0),
-                ],
-                axis=0,
-            )
-            new = free - psi_t * (phase_fwd * prefix)
-            d = float(np.sqrt(h * np.sum(np.abs(new - u) ** 2)))
+            # conj(phase_fwd) * N(u), as conj(phase_fwd * conj(N(u))) in place
+            integrand = _nonlinear_slices(u, grid, real)
+            np.conj(integrand, out=integrand)
+            integrand *= phase_fwd
+            np.conj(integrand, out=integrand)
+            # new = free - psi_T * phase_fwd * (trapezoid prefix of integrand)
+            new[0] = 0.0
+            np.add(integrand[1:], integrand[:-1], out=new[1:])
+            del integrand
+            new[1:] *= 0.5 * h
+            np.cumsum(new[1:], axis=0, out=new[1:])
+            new *= phase_fwd
+            new *= psi_t
+            np.subtract(free, new, out=new)
+            # |new - u|^2 summed in place in u, read as (re, im) float pairs
+            sq = np.subtract(new, u, out=u).view(np.float64)
+            np.square(sq, out=sq)
+            sums = sq.reshape(n_nodes, grid.ny, cols, 2).sum(axis=(0, 1, 3))
+            d = float(np.sqrt(h * np.dot(weights, sums)))
         distances.append(d)
-        u = new
+        u, new = new, u
         if d < cfg.picard_tol:
             converged = True
             break
@@ -125,7 +144,10 @@ def duhamel_picard(
             )
         increases = increases + 1 if grew else 0
 
-    states = tuple(Field.from_spectral(grid, u[j], reality=phi.reality) for j in range(n_nodes))
+    del new, free, phase_fwd
+    states = tuple(
+        Field.from_spectral(grid, hermitian_complete(s, grid.nx) if real else s, reality=real) for s in u
+    )
     diagnostics = tuple(
         _diagnostics_record(float(t[j]), states[j], params.alpha, monitors)
         for j in range(n_nodes)

@@ -16,7 +16,7 @@ import numpy as np
 
 from .grid import SpectralGrid
 
-__all__ = ["Field", "hermitian_reflect", "is_hermitian"]
+__all__ = ["Field", "hermitian_complete", "hermitian_reflect", "is_hermitian"]
 
 _HERMITIAN_TOL = 1e-12
 
@@ -34,6 +34,13 @@ def _take(arr: np.ndarray) -> np.ndarray:
 def hermitian_reflect(data: np.ndarray) -> np.ndarray:
     """conj(data) sampled at (-k, -l); equals data itself for real fields."""
     return np.conj(np.roll(data[::-1, ::-1], shift=(1, 1), axis=(0, 1)))
+
+
+def hermitian_complete(half: np.ndarray, nx: int) -> np.ndarray:
+    """Full ``(ny, nx)`` spectrum of a real field from its first ``nx//2 + 1`` columns: the
+    xi = 0 and Nyquist columns are kept as stored, the others gain their Hermitian mirrors."""
+    mirror = np.conj(np.roll(half[::-1, nx // 2 - 1 : 0 : -1], 1, axis=0))
+    return np.concatenate([half, mirror], axis=1)
 
 
 def is_hermitian(data: np.ndarray) -> bool:

@@ -247,6 +247,17 @@ def test_verify_config_errors_create_no_directory(tmp_path, monkeypatch, argv, t
     assert not out.exists()
 
 
+@pytest.mark.parametrize("key", ["quadrature_nodes", "picard_max_iters"])
+@pytest.mark.parametrize("value", [2.7, float("inf")])
+def test_picard_rejects_fractional_or_infinite_counts(tmp_path, capsys, key, value):
+    cfg = _write_config(tmp_path / "cfg.json", solver={"dt": 1e-3, "t_final": 5e-3, key: value})
+    out = tmp_path / "never"
+    assert main(["picard", "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and key in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -151,3 +151,38 @@ def test_numbers_reject_booleans():
     doc["solver"]["dt"] = True
     with pytest.raises(ConfigError):
         parse_config(doc)
+
+
+@pytest.mark.parametrize("key", ["quadrature_nodes", "picard_max_iters"])
+@pytest.mark.parametrize("value", [2.7, 3.5, float("inf"), float("-inf")])
+def test_solver_counts_reject_fractional_and_non_finite_values(key, value):
+    doc = _minimal()
+    doc["solver"][key] = value
+    with pytest.raises(ConfigError, match=key):
+        parse_config(doc)
+
+
+def test_solver_counts_accept_integral_floats():
+    doc = _minimal()
+    doc["solver"].update(quadrature_nodes=3.0, picard_max_iters=7.0)
+    solver = parse_config(doc).solver
+    assert (solver.quadrature_nodes, solver.picard_max_iters) == (3, 7)
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("nan")])
+@pytest.mark.parametrize(
+    "section, entry",
+    [
+        ("initial_data", lambda v: {"kind": "random_shell", "shell": v, "seed": 1}),
+        ("initial_data", lambda v: {"kind": "random_shell", "shell": 1, "seed": v}),
+        ("initial_data", lambda v: {"kind": "mode_sum", "modes": [[v, 0, 1.0, 0.0]]}),
+        ("output", lambda v: {"snapshot_stride": v}),
+        ("grid", lambda v: {"nx": v, "ny": 16, "lx": 6.283185307179586, "ly": 6.283185307179586}),
+    ],
+    ids=["shell", "seed", "mode", "snapshot_stride", "grid"],
+)
+def test_integer_fields_reject_non_finite_values(section, entry, value):
+    doc = _minimal()
+    doc[section] = entry(value)
+    with pytest.raises(ConfigError, match=section):
+        parse_config(doc)

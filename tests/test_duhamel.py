@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -116,3 +118,38 @@ def test_diagnostics_tables_are_built_once_and_before_the_iteration(grid16, kp1_
     assert len(result.trajectory.diagnostics) == 11
     assert _energy_weights.cache_info().misses == 1
     assert _sobolev_weights.cache_info().misses == len(monitors)
+
+
+def test_half_and_full_spectrum_layouts_agree(grid32, kp1_alpha1):
+    """A real phi iterates on nx//2 + 1 columns; the same coefficients
+    flagged complex iterate on all nx, and both reach the same fixed point."""
+    phi = _small_data(grid32, l2_target=1.0)
+    cfg = SolverConfig(dt=1e-2, t_final=0.2, picard_tol=1e-13, quadrature_nodes=3)
+    half = duhamel_picard(phi, cfg, kp1_alpha1)
+    full = duhamel_picard(Field(grid32, phi.data, reality=False), cfg, kp1_alpha1)
+    assert len(half.distances) == len(full.distances) >= 3
+    assert half.converged and full.converged
+    assert all(s.reality for s in half.trajectory.states)
+    assert not any(s.reality for s in full.trajectory.states)
+    scale = phi.l2_norm()
+    for a, b in zip(half.trajectory.states, full.trajectory.states):
+        assert np.max(np.abs(a.data - b.data)) <= 1e-13 * scale
+    d0 = half.distances[0]
+    assert max(abs(a - b) for a, b in zip(half.distances, full.distances)) <= 1e-14 * d0
+
+
+def test_peak_allocation_stays_under_five_node_arrays(grid32, kp1_alpha1):
+    """Four half-spectrum node arrays updated in place, the quadratic term's
+    temporaries and the final states stay under five full node arrays."""
+    phi = _small_data(grid32)
+    cfg = SolverConfig(dt=0.01, t_final=0.2, quadrature_nodes=6)
+    duhamel_picard(phi, cfg, kp1_alpha1)  # warm-up: caches and one-time blocks
+    tracemalloc.start()
+    try:
+        result = duhamel_picard(phi, cfg, kp1_alpha1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.trajectory.times) == 101
+    node_array = 101 * 32 * 32 * 16
+    assert peak <= 5 * node_array, peak / node_array

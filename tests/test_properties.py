@@ -24,7 +24,7 @@ from kp5 import (
 )
 from kp5.errors import ZeroMassViolationError
 from kp5.evolution import linear_propagate
-from kp5.field import hermitian_reflect
+from kp5.field import hermitian_complete, hermitian_reflect
 from kp5.symbols import _ZERO_LINE_TOL, require_zero_x_mean, zero_mode_project
 
 sizes = st.sampled_from([4, 6, 8, 16])
@@ -60,6 +60,21 @@ def test_hermitian_symmetrised_spectra_are_real_under_real_arithmetic(nx, ny, se
     for combined in (f + g, f - g, a * f, f * b, a * f - b * g):
         assert combined.reality
     assert not (f * complex(a, 1.0)).reality
+
+
+even_sizes = st.integers(min_value=2, max_value=32).map(lambda half: 2 * half)
+
+
+@given(nx=even_sizes, ny=even_sizes, seed=seeds)
+def test_hermitian_complete_rebuilds_real_spectra_from_the_half_spectrum(nx, ny, seed):
+    rng = np.random.default_rng(seed)
+    raw = _complex(rng, (ny, nx))
+    exact = 0.5 * (raw + hermitian_reflect(raw))
+    assert hermitian_complete(exact[:, : nx // 2 + 1], nx).tobytes() == exact.tobytes()
+    samples = rng.standard_normal((ny, nx))
+    full = np.fft.fft2(samples)
+    rebuilt = hermitian_complete(np.fft.rfft2(samples), nx)
+    assert np.max(np.abs(rebuilt - full)) <= 1e-15 * np.max(np.abs(full))
 
 
 @given(
