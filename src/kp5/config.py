@@ -22,11 +22,21 @@ with a value above is its default.  ``initial_data`` kinds: ``gaussian``
 (modes: list of [k, l, amplitude, phase]), ``random_shell`` (shell, seed),
 ``file`` (path).  ``monitors`` is a list of [s1, s2] Sobolev index pairs.
 ``snapshot_stride`` 0 disables field snapshots.
+
+Every number, section field or list entry, must be a JSON int or float (not
+a bool, string or null) and finite.  ``nx``, ``ny``, ``picard_max_iters``,
+``quadrature_nodes``, ``shell``, ``seed``, the mode numbers ``k, l`` and
+``snapshot_stride`` are integral (``3.0`` reads as 3); ``shell``, ``seed``
+and ``snapshot_stride`` are also >= 0.  ``ConfigError`` names the offending
+field by its JSON path (``solver.dt``, ``initial_data.modes[0][2]``), or the
+section when a constructor rejects the value (odd ``nx``, ``sigma_x <= 0``).
 """
 
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -54,133 +64,124 @@ class RunConfig:
     raw: dict
 
 
-def _require_keys(section: dict, allowed: set, required: set, where: str) -> None:
-    unknown = set(section) - allowed
-    if unknown:
+def _object(section, where: str, allowed: set, required: set = frozenset()) -> dict:
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where}: expected an object")
+    if unknown := set(section) - allowed:
         raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    missing = required - set(section)
-    if missing:
+    if missing := required - set(section):
         raise ConfigError(f"{where}: missing required keys {sorted(missing)}")
+    return section
 
 
-def _number(section: dict, key: str, where: str, default=None):
-    if key not in section:
-        return default
-    value = section[key]
+def _number(container, key, where: str, default=None, *, count=False, nonnegative=False):
+    """Read ``container[key]`` (``default`` if a section omits it): the one gate
+    every config number passes.  A ``count`` comes back as an int, any other
+    number as a float; errors name the field as a JSON path."""
+    field = f"{where}[{key}]" if isinstance(key, int) else f"{where}.{key}"
+    value = container.get(key, default) if isinstance(container, dict) else container[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where}.{key}: expected a number, got {value!r}")
-    return value
+        raise ConfigError(f"{field}: expected a number, got {value!r}")
+    number = value
+    if isinstance(value, int) and not count:
+        number = float(value) if abs(value) <= sys.float_info.max else math.inf
+    if isinstance(number, float):
+        if not math.isfinite(number):
+            raise ConfigError(f"{field}: expected a finite number, got {value!r}")
+        if count and not number.is_integer():
+            raise ConfigError(f"{field}: only integers are allowed, got {value!r}")
+    if nonnegative and number < 0:
+        raise ConfigError(f"{field}: expected a nonnegative number, got {value!r}")
+    return int(number) if count else number
 
 
-def _integral(value) -> bool:
-    """True for an integer or a finite integral float, never for a boolean."""
-    if isinstance(value, float):
-        return value.is_integer()
-    return isinstance(value, int) and not isinstance(value, bool)
+def _vector(entry, where: str, names: tuple, counts: int = 0) -> tuple:
+    """Read a JSON list ``[names...]`` of numbers; the first ``counts`` are integers."""
+    if not (isinstance(entry, list) and len(entry) == len(names)):
+        raise ConfigError(f"{where}: expected [{', '.join(names)}], got {entry!r}")
+    return tuple(_number(entry, i, where, count=i < counts) for i in range(len(names)))
+
+
+def _build(where: str, make, *args, **kwargs):
+    """Call a validating constructor; its ValueError becomes a ConfigError."""
+    try:
+        return make(*args, **kwargs)
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+def _choice(enum_cls, section: dict, key: str, default: str, where: str):
+    value = section.get(key, default)
+    try:
+        return enum_cls(value)
+    except ValueError:
+        choices = " or ".join(repr(member.value) for member in enum_cls)
+        raise ConfigError(f"{where}.{key}: expected {choices}, got {value!r}") from None
 
 
 def _parse_grid(section) -> SpectralGrid:
-    if not isinstance(section, dict):
-        raise ConfigError("grid: expected an object")
-    _require_keys(section, {"nx", "ny", "lx", "ly"}, {"nx", "ny", "lx", "ly"}, "grid")
-    try:
-        return make_grid(section["nx"], section["ny"], section["lx"], section["ly"])
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"grid: {exc}") from exc
+    keys = ("nx", "ny", "lx", "ly")
+    _object(section, "grid", set(keys), set(keys))
+    return _build("grid", make_grid, *(_number(section, k, "grid", count=k in ("nx", "ny")) for k in keys))
 
 
 def _parse_dispersion(section) -> DispersionParams:
-    if section is None:
-        section = {}
-    if not isinstance(section, dict):
-        raise ConfigError("dispersion: expected an object")
-    _require_keys(section, {"kp_sign", "alpha", "zero_mode"}, set(), "dispersion")
-    sign_name = section.get("kp_sign", "kp1")
-    try:
-        sign = KPSign(sign_name)
-    except ValueError:
-        raise ConfigError(f"dispersion.kp_sign: expected 'kp1' or 'kp2', got {sign_name!r}") from None
-    policy_name = section.get("zero_mode", "project_out")
-    try:
-        policy = ZeroModePolicy(policy_name)
-    except ValueError:
-        raise ConfigError(
-            f"dispersion.zero_mode: expected 'project_out' or 'error', got {policy_name!r}"
-        ) from None
-    alpha = _number(section, "alpha", "dispersion", default=0.0)
-    return DispersionParams(kp_sign=sign, alpha=float(alpha), zero_mode=policy)
+    section = _object({} if section is None else section, "dispersion", {"kp_sign", "alpha", "zero_mode"})
+    return _build(
+        "dispersion",
+        DispersionParams,
+        kp_sign=_choice(KPSign, section, "kp_sign", "kp1", "dispersion"),
+        alpha=_number(section, "alpha", "dispersion", 0.0),
+        zero_mode=_choice(ZeroModePolicy, section, "zero_mode", "project_out", "dispersion"),
+    )
 
 
 def _parse_solver(section) -> SolverConfig:
-    if not isinstance(section, dict):
-        raise ConfigError("solver: expected an object")
     allowed = {"dt", "t_final", "picard_max_iters", "picard_tol", "quadrature_nodes", "cutoff_T"}
-    _require_keys(section, allowed, {"dt", "t_final"}, "solver")
-    for key in ("picard_max_iters", "quadrature_nodes"):
-        if key in section and not _integral(section[key]):
-            raise ConfigError(f"solver.{key}: expected an integer, got {section[key]!r}")
-    try:
-        return SolverConfig(
-            dt=float(_number(section, "dt", "solver")),
-            t_final=float(_number(section, "t_final", "solver")),
-            picard_max_iters=int(_number(section, "picard_max_iters", "solver", default=25)),
-            picard_tol=float(_number(section, "picard_tol", "solver", default=1e-10)),
-            quadrature_nodes=int(_number(section, "quadrature_nodes", "solver", default=2)),
-            cutoff_T=float(_number(section, "cutoff_T", "solver", default=0.5)),
-        )
-    except ValueError as exc:
-        raise ConfigError(f"solver: {exc}") from exc
+    _object(section, "solver", allowed, {"dt", "t_final"})
+    return _build(
+        "solver",
+        SolverConfig,
+        dt=_number(section, "dt", "solver"),
+        t_final=_number(section, "t_final", "solver"),
+        picard_max_iters=_number(section, "picard_max_iters", "solver", 25, count=True),
+        picard_tol=_number(section, "picard_tol", "solver", 1e-10),
+        quadrature_nodes=_number(section, "quadrature_nodes", "solver", 2, count=True),
+        cutoff_T=_number(section, "cutoff_T", "solver", 0.5),
+    )
 
 
 def _parse_initial(section):
-    if section is None:
-        section = dict(_DEFAULT_INITIAL)
+    section = _DEFAULT_INITIAL if section is None else section
     if not isinstance(section, dict) or "kind" not in section:
         raise ConfigError("initial_data: expected an object with a 'kind' key")
     kind = section["kind"]
+    where = "initial_data"
     if kind == "gaussian":
-        _require_keys(
-            section,
-            {"kind", "amplitude", "sigma_x", "sigma_y", "center"},
-            {"amplitude", "sigma_x", "sigma_y"},
-            "initial_data(gaussian)",
-        )
+        allowed = {"kind", "amplitude", "sigma_x", "sigma_y", "center"}
+        _object(section, "initial_data(gaussian)", allowed, {"amplitude", "sigma_x", "sigma_y"})
         center = section.get("center")
-        if center is not None:
-            if not (isinstance(center, list) and len(center) == 2):
-                raise ConfigError("initial_data.center: expected [cx, cy]")
-            center = (float(center[0]), float(center[1]))
-        return GaussianData(
-            amplitude=float(_number(section, "amplitude", "initial_data")),
-            sigma_x=float(_number(section, "sigma_x", "initial_data")),
-            sigma_y=float(_number(section, "sigma_y", "initial_data")),
-            center=center,
+        return _build(
+            where,
+            GaussianData,
+            amplitude=_number(section, "amplitude", where),
+            sigma_x=_number(section, "sigma_x", where),
+            sigma_y=_number(section, "sigma_y", where),
+            center=None if center is None else _vector(center, f"{where}.center", ("cx", "cy")),
         )
     if kind == "mode_sum":
-        _require_keys(section, {"kind", "modes"}, {"modes"}, "initial_data(mode_sum)")
+        _object(section, "initial_data(mode_sum)", {"kind", "modes"}, {"modes"})
         modes = section["modes"]
         if not isinstance(modes, list) or not modes:
             raise ConfigError("initial_data.modes: expected a nonempty list")
-        parsed = []
-        for entry in modes:
-            if not (isinstance(entry, list) and len(entry) == 4):
-                raise ConfigError(f"initial_data.modes: expected [k, l, amplitude, phase], got {entry!r}")
-            k, l, amp, phase = entry
-            if not (_integral(k) and _integral(l)):
-                raise ConfigError(f"initial_data.modes: k, l must be integers, got {entry!r}")
-            parsed.append((int(k), int(l), float(amp), float(phase)))
-        return ModeSumData(modes=tuple(parsed))
+        names = ("k", "l", "amplitude", "phase")
+        return ModeSumData(tuple(_vector(m, f"{where}.modes[{i}]", names, 2) for i, m in enumerate(modes)))
     if kind == "random_shell":
-        _require_keys(section, {"kind", "shell", "seed"}, {"shell", "seed"}, "initial_data(random_shell)")
-        shell = section["shell"]
-        seed = section["seed"]
-        if not _integral(shell) or shell < 0:
-            raise ConfigError(f"initial_data.shell: expected a nonnegative integer, got {shell!r}")
-        if not _integral(seed):
-            raise ConfigError(f"initial_data.seed: expected an integer, got {seed!r}")
-        return RandomShellData(shell=int(shell), seed=int(seed))
+        _object(section, "initial_data(random_shell)", {"kind", "shell", "seed"}, {"shell", "seed"})
+        shell, seed = (_number(section, k, where, count=True, nonnegative=True) for k in ("shell", "seed"))
+        return RandomShellData(shell=shell, seed=seed)
     if kind == "file":
-        _require_keys(section, {"kind", "path"}, {"path"}, "initial_data(file)")
+        _object(section, "initial_data(file)", {"kind", "path"}, {"path"})
         if not isinstance(section["path"], str):
             raise ConfigError("initial_data.path: expected a string")
         return FileData(path=section["path"])
@@ -192,38 +193,24 @@ def _parse_monitors(section) -> tuple[NormSpec, ...]:
         return ()
     if not isinstance(section, list):
         raise ConfigError("monitors: expected a list of [s1, s2] pairs")
-    out = []
-    for entry in section:
-        if not (isinstance(entry, list) and len(entry) == 2):
-            raise ConfigError(f"monitors: expected [s1, s2], got {entry!r}")
-        try:
-            out.append(NormSpec(s1=float(entry[0]), s2=float(entry[1])))
-        except ValueError as exc:
-            raise ConfigError(f"monitors: {exc}") from exc
-    return tuple(out)
+    return tuple(
+        _build(f"monitors[{i}]", NormSpec, *_vector(entry, f"monitors[{i}]", ("s1", "s2")))
+        for i, entry in enumerate(section)
+    )
 
 
 def _parse_output(section) -> tuple[str, int]:
-    if section is None:
-        section = {}
-    if not isinstance(section, dict):
-        raise ConfigError("output: expected an object")
-    _require_keys(section, {"directory", "snapshot_stride"}, set(), "output")
+    section = _object({} if section is None else section, "output", {"directory", "snapshot_stride"})
     directory = section.get("directory", "kp5-out")
     if not isinstance(directory, str):
         raise ConfigError("output.directory: expected a string")
-    stride = section.get("snapshot_stride", 0)
-    if not _integral(stride) or stride < 0:
-        raise ConfigError(f"output.snapshot_stride: expected a nonnegative integer, got {stride!r}")
-    return directory, int(stride)
+    return directory, _number(section, "snapshot_stride", "output", 0, count=True, nonnegative=True)
 
 
 def parse_config(document: dict) -> RunConfig:
     """Validate a parsed JSON document against the strict schema."""
-    if not isinstance(document, dict):
-        raise ConfigError("config root: expected an object")
     allowed = {"grid", "dispersion", "solver", "initial_data", "monitors", "output"}
-    _require_keys(document, allowed, {"grid", "solver"}, "config root")
+    _object(document, "config root", allowed, {"grid", "solver"})
     directory, stride = _parse_output(document.get("output"))
     return RunConfig(
         grid=_parse_grid(document["grid"]),

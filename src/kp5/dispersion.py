@@ -106,7 +106,7 @@ def gradient_omega(xi, mu, params: DispersionParams):
 def _omega_lattice(grid: SpectralGrid, params: DispersionParams) -> np.ndarray:
     xi = grid.xi_mesh.copy()
     xi[:, 0] = 1.0  # placeholder; the line is overwritten below
-    omega = params.sign * xi**5 - params.alpha * xi**3 + grid.mu_mesh**2 / xi
+    omega = dispersion_omega(xi, grid.mu_mesh, params)
     omega[:, 0] = 0.0
     omega[:, grid.nx // 2] = 0.0
     omega.flags.writeable = False

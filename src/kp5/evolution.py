@@ -15,7 +15,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .dispersion import DispersionParams, ZeroModePolicy, omega_on_grid
+from .dispersion import DispersionParams, omega_on_grid
 from .errors import BlowUpError, SingularSymbolError
 from .field import Field
 from .norms import (
@@ -26,7 +26,7 @@ from .norms import (
     mass,
     sobolev_aniso_norm,
 )
-from .symbols import dealias, require_zero_x_mean, x_derivative, zero_mode_project
+from .symbols import _policy_project, dealias, require_zero_x_mean, x_derivative
 
 __all__ = [
     "SolverConfig",
@@ -105,9 +105,7 @@ class Trajectory:
 def _apply_phase(f: Field, phase: np.ndarray, params: DispersionParams) -> Field:
     """Multiply the zero-mode-projected coefficients by ``phase``, which is 1
     on the xi = 0 line because ``omega_on_grid`` is 0 there."""
-    if params.zero_mode is ZeroModePolicy.ERROR:
-        require_zero_x_mean(f, "the error zero-mode policy", SingularSymbolError)
-    return Field(f.grid, zero_mode_project(f).data * phase, f.reality)
+    return Field(f.grid, _policy_project(f, params).data * phase, f.reality)
 
 
 def linear_propagate(f: Field, t: float, params: DispersionParams) -> Field:

@@ -32,6 +32,11 @@ class GaussianData:
     sigma_y: float
     center: tuple[float, float] | None = None
 
+    def __post_init__(self) -> None:
+        for name in ("sigma_x", "sigma_y"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)!r}")
+
 
 @dataclass(frozen=True)
 class ModeSumData:

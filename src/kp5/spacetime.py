@@ -22,7 +22,7 @@ from .errors import UndefinedRatioError
 from .field import Field, _Spectrum, _take
 from .grid import SpectralGrid
 from .norms import NormSpec, _sobolev_weights, bracket
-from .symbols import require_zero_x_mean, zero_mode_project
+from .symbols import _policy_project, require_zero_x_mean
 
 __all__ = [
     "SpaceTimeField",
@@ -136,7 +136,7 @@ def sample_linear_flow(
 ) -> SpaceTimeField:
     """Sample the exact linear flow of ``phi`` on the periodic time window."""
     omega = omega_on_grid(phi.grid, params)
-    data = zero_mode_project(phi).data
+    data = _policy_project(phi, params).data
     times = _sample_times(nt, t_window)
     spatial = data[None, :, :] * np.exp(-1j * times[:, None, None] * omega[None, :, :])
     spec = np.fft.ifft(spatial, axis=0, norm="ortho")

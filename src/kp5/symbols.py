@@ -93,6 +93,13 @@ def zero_mode_project(f: Field) -> Field:
     return Field(f.grid, data, f.reality)
 
 
+def _policy_project(f: Field, params: DispersionParams) -> Field:
+    """``zero_mode_project(f)``; the error policy rejects xi = 0 content instead."""
+    if params.zero_mode is ZeroModePolicy.ERROR:
+        require_zero_x_mean(f, "the error zero-mode policy", SingularSymbolError)
+    return zero_mode_project(f)
+
+
 def dealias(f: Field) -> Field:
     """2/3-rule truncation: zero coefficients with |k| > nx/3 or |l| > ny/3."""
     return Field(f.grid, np.where(f.grid.dealias_mask, f.data, 0.0 + 0.0j), f.reality)

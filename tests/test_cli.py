@@ -322,3 +322,37 @@ def test_legacy_or_unreadable_lock_is_a_clean_io_error(tmp_path, capsys, text):
     assert main(["verify", "dyadic", "--out", str(out), "--quiet"]) == 4
     err = capsys.readouterr().err
     assert err.startswith("i/o error:") and "names no holder" in err
+
+
+_GAUSSIAN = {"kind": "gaussian", "amplitude": 0.01, "sigma_x": 1.0, "sigma_y": 1.0}
+
+
+@pytest.mark.parametrize("command", ["simulate", "picard"])
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        ({"dispersion": {"alpha": float("nan")}}, "dispersion.alpha"),
+        ({"dispersion": {"alpha": float("inf")}}, "dispersion.alpha"),
+        ({"initial_data": {**_GAUSSIAN, "amplitude": float("nan")}}, "initial_data.amplitude"),
+        ({"initial_data": {"kind": "mode_sum", "modes": [[1, 1, float("inf"), 0]]}}, "initial_data.modes[0][2]"),
+        ({"initial_data": {"kind": "mode_sum", "modes": [[1, 1, 0.01, float("nan")]]}}, "initial_data.modes[0][3]"),
+        ({"initial_data": {**_GAUSSIAN, "sigma_x": 0}}, "sigma_x"),
+        ({"initial_data": {**_GAUSSIAN, "sigma_y": -1.0}}, "sigma_y"),
+        ({"initial_data": {**_GAUSSIAN, "center": [float("inf"), 1]}}, "initial_data.center[0]"),
+        ({"initial_data": {**_GAUSSIAN, "center": [None, 1]}}, "initial_data.center[0]"),
+        ({"initial_data": {**_GAUSSIAN, "center": ["a", 1]}}, "initial_data.center[0]"),
+        ({"initial_data": {"kind": "mode_sum", "modes": [[1, 1, None, 0]]}}, "initial_data.modes[0][2]"),
+        ({"initial_data": {"kind": "mode_sum", "modes": [[1, 1, "x", 0]]}}, "initial_data.modes[0][2]"),
+        ({"monitors": [[None, 1]]}, "monitors[0][0]"),
+        ({"initial_data": {"kind": "random_shell", "shell": 2, "seed": -1}}, "initial_data.seed"),
+        ({"grid": {"nx": 16, "ny": 16, "lx": "6.28", "ly": 6.283185307179586}}, "grid.lx"),
+        ({"solver": {"dt": "0.01", "t_final": 5e-3}}, "solver.dt"),
+    ],
+)
+def test_malformed_numbers_are_config_errors(tmp_path, capsys, command, overrides, field):
+    cfg = _write_config(tmp_path / "cfg.json", **overrides)
+    out = tmp_path / "never"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and field in err and "Traceback" not in err
+    assert not out.exists() and not (tmp_path / "default-out").exists()

@@ -186,3 +186,128 @@ def test_integer_fields_reject_non_finite_values(section, entry, value):
     doc[section] = entry(value)
     with pytest.raises(ConfigError, match=section):
         parse_config(doc)
+
+
+def _full(kind):
+    """A valid document that carries every numeric field of one initial-data kind."""
+    doc = _minimal()
+    doc["dispersion"] = {"alpha": 0.5}
+    doc["solver"].update(picard_max_iters=25, picard_tol=1e-10, quadrature_nodes=2, cutoff_T=0.5)
+    doc["initial_data"] = {
+        "gaussian": {"kind": "gaussian", "amplitude": 0.1, "sigma_x": 1.0, "sigma_y": 1.0, "center": [1.0, 2.0]},
+        "mode_sum": {"kind": "mode_sum", "modes": [[1, 0, 0.5, 0.0]]},
+        "random_shell": {"kind": "random_shell", "shell": 3, "seed": 7},
+    }[kind]
+    doc["monitors"] = [[1, 0]]
+    doc["output"] = {"snapshot_stride": 2}
+    return doc
+
+
+def _set(doc, path, value):
+    """Assign ``value`` at a JSON path such as ``initial_data.modes[0][2]``."""
+    keys = [int(k) if k.isdigit() else k for k in re.findall(r"[^.\[\]]+", path)]
+    node = doc
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+
+
+_NUMERIC_FIELDS = [
+    *(("gaussian", f"grid.{k}") for k in ("nx", "ny", "lx", "ly")),
+    ("gaussian", "dispersion.alpha"),
+    *(
+        ("gaussian", f"solver.{k}")
+        for k in ("dt", "t_final", "picard_max_iters", "picard_tol", "quadrature_nodes", "cutoff_T")
+    ),
+    *(("gaussian", f"initial_data.{k}") for k in ("amplitude", "sigma_x", "sigma_y")),
+    ("gaussian", "initial_data.center[0]"),
+    ("gaussian", "initial_data.center[1]"),
+    *(("mode_sum", f"initial_data.modes[0][{i}]") for i in range(4)),
+    ("random_shell", "initial_data.shell"),
+    ("random_shell", "initial_data.seed"),
+    ("gaussian", "monitors[0][0]"),
+    ("gaussian", "monitors[0][1]"),
+    ("gaussian", "output.snapshot_stride"),
+]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf"), "1", None, True])
+@pytest.mark.parametrize("kind, path", _NUMERIC_FIELDS, ids=[p for _, p in _NUMERIC_FIELDS])
+def test_every_number_rejects_non_numbers_and_non_finite_values(kind, path, bad):
+    assert parse_config(_full(kind))  # the table's documents are valid as they stand
+    doc = _full(kind)
+    _set(doc, path, bad)
+    with pytest.raises(ConfigError) as info:
+        parse_config(doc)
+    message = str(info.value)
+    assert message.startswith(f"{path}: "), message
+
+
+def test_valid_numbers_keep_their_int_and_float_types():
+    doc = _full("gaussian")
+    doc["grid"].update(nx=16.0, ny=16.0, lx=6, ly=7)
+    doc["dispersion"]["alpha"] = 2
+    doc["solver"].update(dt=1, t_final=2, picard_max_iters=3.0, picard_tol=1, quadrature_nodes=4.0)
+    doc["initial_data"].update(amplitude=1, sigma_x=2, sigma_y=3, center=[1, 2])
+    doc["monitors"] = [[1, 2]]
+    doc["output"]["snapshot_stride"] = 5.0
+    cfg = parse_config(doc)
+    solver, data = cfg.solver, cfg.initial_data
+    counts = [cfg.grid.nx, cfg.grid.ny, solver.picard_max_iters, solver.quadrature_nodes, cfg.snapshot_stride]
+    reals = [cfg.grid.lx, cfg.grid.ly, cfg.dispersion.alpha, solver.dt, solver.t_final, solver.picard_tol]
+    reals += [data.amplitude, data.sigma_x, data.sigma_y, *data.center, cfg.monitors[0].s1, cfg.monitors[0].s2]
+    assert [type(v) for v in counts] == [int] * 5 and counts == [16, 16, 3, 4, 5]
+    assert [type(v) for v in reals] == [float] * 13 and reals == [6, 7, 2, 1, 2, 1, 1, 2, 3, 1, 2, 1, 2]
+
+    doc = _full("mode_sum")
+    doc["initial_data"]["modes"] = [[1.0, -2.0, 1, 0]]
+    modes = parse_config(doc).initial_data.modes
+    assert modes == ((1, -2, 1.0, 0.0),) and [type(v) for v in modes[0]] == [int, int, float, float]
+
+    doc = _full("random_shell")
+    doc["initial_data"].update(shell=3.0, seed=2**70)
+    shell = parse_config(doc).initial_data
+    assert (shell.shell, shell.seed) == (3, 2**70) and type(shell.shell) is int
+
+
+@pytest.mark.parametrize(
+    "path, value, fragment",
+    [
+        ("initial_data.modes[0][0]", 1.5, "only integers"),
+        ("initial_data.shell", -1, "nonnegative"),
+        ("initial_data.seed", -1, "nonnegative"),
+        ("output.snapshot_stride", -2.0, "nonnegative"),
+        ("grid.lx", 10**400, "finite"),
+    ],
+)
+def test_integral_sign_and_range_rules_name_the_field(path, value, fragment):
+    doc = _full("random_shell" if path.startswith("initial_data.s") else "mode_sum")
+    _set(doc, path, value)
+    with pytest.raises(ConfigError, match=re.escape(path) + ": .*" + fragment):
+        parse_config(doc)
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        ("initial_data.sigma_x", 0, "initial_data: sigma_x must be positive"),
+        ("initial_data.sigma_y", -1.0, "initial_data: sigma_y must be positive"),
+        ("grid.nx", 15, "grid: nx must be even"),
+        ("solver.dt", 0.5, "solver: dt must not exceed t_final"),
+        ("monitors[0][1]", -1, "monitors[0]: Sobolev indices must be nonnegative"),
+    ],
+)
+def test_constructor_errors_are_prefixed_with_their_section(path, value, message):
+    doc = _full("gaussian")
+    _set(doc, path, value)
+    with pytest.raises(ConfigError) as info:
+        parse_config(doc)
+    assert str(info.value).startswith(message)
+
+
+def test_a_string_number_is_reported_once():
+    doc = _minimal()
+    doc["solver"]["dt"] = "0.01"
+    with pytest.raises(ConfigError) as info:
+        parse_config(doc)
+    assert str(info.value) == "solver.dt: expected a number, got '0.01'"

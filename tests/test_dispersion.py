@@ -115,3 +115,22 @@ def test_omega_on_grid_conventions(grid16, kp1_alpha1):
     # lattice symbol is odd away from the held columns
     refl = np.roll(om[::-1, ::-1], shift=(1, 1), axis=(0, 1))
     assert np.max(np.abs(om + refl)) == 0.0
+
+
+@pytest.mark.parametrize(
+    "nx, ny, lx, ly",
+    [(128, 128, 32 * np.pi, 32 * np.pi), (64, 64, 2 * np.pi, 2 * np.pi), (16, 32, 3.0, 7.0)],
+)
+@pytest.mark.parametrize("sign", [KPSign.KP1, KPSign.KP2])
+@pytest.mark.parametrize("alpha", [-1.3, 0.0, 1.0])
+def test_lattice_symbol_is_the_pointwise_symbol_bit_for_bit(nx, ny, lx, ly, sign, alpha):
+    from kp5 import make_grid
+
+    grid = make_grid(nx, ny, lx, ly)
+    params = DispersionParams(kp_sign=sign, alpha=alpha)
+    omega = omega_on_grid(grid, params)
+    off = np.ones(nx, dtype=bool)
+    off[[0, nx // 2]] = False  # the xi = 0 line and the Nyquist column are held at zero
+    pointwise = dispersion_omega(grid.xi_mesh[:, off], grid.mu_mesh[:, off], params)
+    assert np.array_equal(omega[:, off].view(np.int64), pointwise.view(np.int64))
+    assert not np.any(omega[:, ~off])

@@ -76,3 +76,11 @@ def test_file_grid_mismatch(tmp_path, grid16):
 def test_unknown_spec_rejected(grid16):
     with pytest.raises(ConfigError):
         make_initial_data(grid16, object())
+
+
+@pytest.mark.parametrize("widths", [(0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (1.0, -0.5), (float("nan"), 1.0)])
+def test_gaussian_rejects_non_positive_widths(widths):
+    sigma_x, sigma_y = widths
+    name = "sigma_x" if not sigma_x > 0 else "sigma_y"
+    with pytest.raises(ValueError, match=name):
+        GaussianData(amplitude=1.0, sigma_x=sigma_x, sigma_y=sigma_y)

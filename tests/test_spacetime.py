@@ -13,7 +13,7 @@ from kp5 import (
     sample_linear_flow,
     strichartz_ratio,
 )
-from kp5.errors import UndefinedRatioError, ZeroMassViolationError
+from kp5.errors import SingularSymbolError, UndefinedRatioError, ZeroMassViolationError
 
 NT = 16
 TW = 2 * np.pi
@@ -253,3 +253,19 @@ def test_modulus_projection_matches_the_complex_copy_formula(grid16, kp1, j):
     expected[:, :, 0] = 0.0
     got = modulation_project(st, j, kp1, variant="modulus").data
     assert got.tobytes() == expected.tobytes()
+
+
+def test_linear_flow_sampling_obeys_the_error_policy(grid16):
+    from kp5 import DispersionParams, ZeroModePolicy, linear_propagate
+
+    params = DispersionParams(zero_mode=ZeroModePolicy.ERROR)
+    on_line = Field.single_mode(grid16, 0, 1)
+    with pytest.raises(SingularSymbolError):
+        linear_propagate(on_line, 0.1, params)
+    with pytest.raises(SingularSymbolError):
+        sample_linear_flow(on_line, NT, TW, params)
+    # without xi = 0 content both flows run, and they agree at every sample
+    phi = Field.single_mode(grid16, 1, 2)
+    slices = sample_linear_flow(phi, NT, TW, params).slices()
+    for t, state in zip(np.arange(NT) * (TW / NT), slices):
+        assert np.allclose(state.data, linear_propagate(phi, t, params).data, atol=1e-13)
