@@ -234,7 +234,6 @@ def cmd_verify(args) -> int:
     if args.samples is not None and args.samples < 1:
         print(f"error: --samples must be >= 1, got {args.samples}", file=sys.stderr)
         return EXIT_CONFIG
-    thread_budget()
     try:
         with _OutputDir(args.out or f"kp5-verify-{args.suite}") as out:
             report = run_suite(args.suite, args.seed, args.samples)
@@ -400,6 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        thread_budget()  # a bad KP5_THREADS must not cost a whole run
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -39,9 +39,11 @@ def dyadic_eta(j: int, x):
     """Dyadic shell bump: eta_0 = psi, eta_j(x) = psi(2**-j x) - psi(2**(1-j) x)."""
     if j < 0 or j != int(j):
         raise ValueError(f"shell index must be a nonnegative integer, got {j!r}")
-    j = int(j)
     if j == 0:
         return cutoff_psi(x)
+    # from j = 1026 on, |2**(1-j) x| <= 1/2 for every finite x, so both terms
+    # are exactly 1 (and both 0 at +-inf and NaN): eta_j is 0, as at j = 1026
+    j = min(int(j), 1026)
     x_arr = np.asarray(x, dtype=float)
     out = cutoff_psi(np.ldexp(x_arr, -j)) - cutoff_psi(np.ldexp(x_arr, 1 - j))
     return float(out) if x_arr.ndim == 0 else out

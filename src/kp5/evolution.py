@@ -102,16 +102,10 @@ class Trajectory:
         return self.states[-1]
 
 
-def _apply_phase(f: Field, phase: np.ndarray, params: DispersionParams) -> Field:
-    """Multiply the zero-mode-projected coefficients by ``phase``, which is 1
-    on the xi = 0 line because ``omega_on_grid`` is 0 there."""
-    return Field(f.grid, _policy_project(f, params).data * phase, f.reality)
-
-
 def linear_propagate(f: Field, t: float, params: DispersionParams) -> Field:
-    """Exact linear flow: multiply coefficients by exp(-i*t*omega(xi, mu))."""
+    """Exact linear flow: multiply projected coefficients by exp(-i*t*omega(xi, mu))."""
     phase = np.exp(-1j * t * omega_on_grid(f.grid, params))
-    return _apply_phase(f, phase, params)
+    return Field(f.grid, _policy_project(f, params).data * phase, f.reality)
 
 
 def linear_trajectory(
@@ -135,15 +129,16 @@ def nonlinear_rhs(f: Field) -> Field:
     return x_derivative(dealias(squared)) * 0.5
 
 
-def _step_with_phase(
-    f: Field, half_phase: np.ndarray, dt: float, params: DispersionParams, nonlinear: bool
-) -> Field:
-    half = _apply_phase(f, half_phase, params)
+def _step_with_phase(f: Field, half_phase: np.ndarray, dt: float, nonlinear: bool) -> Field:
+    # Callers project ``f`` once; its xi = 0 line then stays +0.0 in every later
+    # state, as ``half_phase`` is 1 - 0j there (omega_on_grid is 0 on the line)
+    # and ``nonlinear_rhs`` multiplies the line by 1j*0: no policy check is due.
+    half = Field(f.grid, f.data * half_phase, f.reality)
     if nonlinear:
         k1 = nonlinear_rhs(half)
         mid = half - (0.5 * dt) * k1
         half = half - dt * nonlinear_rhs(mid)
-    out = _apply_phase(half, half_phase, params)
+    out = Field(half.grid, half.data * half_phase, half.reality)
     if not out.is_finite():
         raise BlowUpError("non-finite samples after split step")
     return out
@@ -155,7 +150,7 @@ def step_splitstep(
     """One Strang step: half linear flow, explicit midpoint for the transport
     term, half linear flow.  Raises ``BlowUpError`` on non-finite output."""
     half_phase = np.exp(-0.5j * dt * omega_on_grid(f.grid, params))
-    return _step_with_phase(f, half_phase, dt, params, nonlinear)
+    return _step_with_phase(_policy_project(f, params), half_phase, dt, nonlinear)
 
 
 def _advection_dt_ceiling(f: Field) -> float:
@@ -218,14 +213,14 @@ def evolve(
     times = [0.0]
     states = [f0]
     diagnostics = [_diagnostics_record(0.0, f0, alpha, monitors)]
-    current = f0
+    current = _policy_project(f0, params)
     half_phase = np.exp(-0.5j * cfg.dt * omega_on_grid(f0.grid, params))
     for i in range(1, n_steps + 1):
         t = i * cfg.dt
         try:
             # overflow right before blow-up detection is expected noise
             with np.errstate(over="ignore", invalid="ignore"):
-                current = _step_with_phase(current, half_phase, cfg.dt, params, nonlinear)
+                current = _step_with_phase(current, half_phase, cfg.dt, nonlinear)
                 record = _diagnostics_record(t, current, alpha, monitors)
         except BlowUpError:
             last_finite = (i - 1) * cfg.dt

@@ -83,6 +83,8 @@ def _random_shell(grid: SpectralGrid, spec: RandomShellData) -> Field:
     rng = np.random.default_rng(spec.seed)
     radius = np.sqrt(grid.xi_mesh**2 + grid.mu_mesh**2)
     weight = dyadic_eta(spec.shell, radius)
+    if not np.any(weight[:, 1:]):  # the xi = 0 column is projected out
+        raise ConfigError(f"initial_data.shell: shell {spec.shell} has no lattice point off xi = 0")
     raw = (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)) * weight
     coeffs = 0.5 * (raw + hermitian_reflect(raw))
     return Field.from_spectral(grid, coeffs, reality=True)

@@ -156,11 +156,8 @@ def strichartz_suite(
         return strichartz_ratio(u, j, r=r, T=T, params=params)
 
     tasks = [(i * samples + k, j) for i, j in enumerate(j_values) for k in range(samples)]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            ratios = list(pool.map(one, tasks))
-    else:
-        ratios = [one(task) for task in tasks]
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        ratios = list(pool.map(one, tasks))
 
     rows = []
     max_log2 = []

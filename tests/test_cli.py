@@ -356,3 +356,45 @@ def test_malformed_numbers_are_config_errors(tmp_path, capsys, command, override
     err = capsys.readouterr().err
     assert err.startswith("config error:") and field in err and "Traceback" not in err
     assert not out.exists() and not (tmp_path / "default-out").exists()
+
+
+@pytest.mark.parametrize("threads", ["zero", "0"])
+@pytest.mark.parametrize("command", ["simulate", "picard", "resonance-map"])
+def test_bad_thread_budget_is_a_config_error_before_any_work(
+    tmp_path, capsys, monkeypatch, command, threads
+):
+    monkeypatch.setenv("KP5_THREADS", threads)
+    argv = [command]
+    if command != "resonance-map":
+        argv += ["--config", str(_write_config(tmp_path / "cfg.json"))]
+    out = tmp_path / "never"
+    assert main(argv + ["--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "KP5_THREADS" in err
+    assert not out.exists() and not (tmp_path / "default-out").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "picard"])
+@pytest.mark.parametrize("shell", [2**40, 1000])
+def test_a_shell_with_no_lattice_point_is_a_config_error(tmp_path, capsys, command, shell):
+    shell_data = {"kind": "random_shell", "shell": shell, "seed": 1}
+    cfg = _write_config(tmp_path / "cfg.json", initial_data=shell_data)
+    out = tmp_path / "never"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: initial_data.shell") and "Traceback" not in err
+    assert not out.exists() and not (tmp_path / "default-out").exists()
+
+
+def test_strichartz_artifacts_do_not_depend_on_the_thread_count(tmp_path, monkeypatch):
+    runs = {}
+    for threads in ("1", "3"):
+        monkeypatch.setenv("KP5_THREADS", threads)
+        out = tmp_path / f"threads-{threads}"
+        argv = ["verify", "strichartz", "--samples", "2", "--seed", "3", "--out", str(out)]
+        assert main(argv + ["--quiet"]) in (0, 1)
+        summary = json.loads((out / "strichartz_summary.json").read_text())
+        assert summary["kp5_threads"] == int(threads)
+        csv_bytes = (out / "strichartz.csv").read_bytes()
+        runs[threads] = (csv_bytes, summary["summary"], summary["status"])
+    assert runs["1"] == runs["3"]

@@ -52,6 +52,14 @@ def test_eta_examples():
         dyadic_eta(-1, 0.0)
 
 
+@pytest.mark.parametrize("j", [1025, 1026, 2**31, 2**40, 10**30])
+def test_eta_of_a_huge_shell_is_exactly_zero(j):
+    x = np.array([0.0, 5e-324, 1.0, -3.0, 1e300, -np.finfo(float).max, np.inf, -np.inf, np.nan])
+    out = dyadic_eta(j, x)
+    assert out.tolist() == [0.0] * len(x) and not np.any(np.signbit(out))
+    assert dyadic_eta(j, np.finfo(float).max) == 0.0
+
+
 def test_eta_shell_support():
     # eta_j lives on 2^(j-1) < |x| < 2^(j+1)
     for j in (1, 4, 9):

@@ -5,6 +5,7 @@ from kp5 import (
     DispersionParams,
     Field,
     GaussianData,
+    KPSign,
     NormSpec,
     SolverConfig,
     Trajectory,
@@ -29,6 +30,11 @@ from kp5.norms import _energy_weights, _sobolev_weights
 def _random_zero_mean(grid, seed=0):
     rng = np.random.default_rng(seed)
     return zero_mode_project(Field.from_physical(grid, rng.standard_normal(grid.shape)))
+
+
+def _line_parts(f: Field) -> np.ndarray:
+    """Real and imaginary parts of the xi = 0 line."""
+    return np.stack([f.data[:, 0].real, f.data[:, 0].imag])
 
 
 def test_propagate_t0_identity(grid32, kp1_alpha1):
@@ -161,6 +167,22 @@ def test_step_zero_field(grid16, kp1):
     assert step_splitstep(Field.zeros(grid16), 1e-3, kp1).l2_norm() == 0.0
 
 
+def test_step_error_policy_rejects_line_content(grid16):
+    params = DispersionParams(zero_mode=ZeroModePolicy.ERROR)
+    f = _random_zero_mean(grid16, 2) + Field.single_mode(grid16, 0, 1, amplitude=1e-3)
+    with pytest.raises(SingularSymbolError):
+        step_splitstep(f, 1e-3, params)
+
+
+@pytest.mark.parametrize("nonlinear", [True, False])
+def test_step_projects_its_input_once_to_a_positive_zero_line(grid16, kp1_alpha1, nonlinear):
+    f = _random_zero_mean(grid16, 3)
+    data = f.data.copy()
+    data[:, 0] = -0.0
+    out = step_splitstep(Field(grid16, data, f.reality), 1e-3, kp1_alpha1, nonlinear)
+    assert not np.any(np.signbit(_line_parts(out)))
+
+
 def test_step_degenerates_to_linear(grid32, kp1_alpha1):
     f = _random_zero_mean(grid32, 5)
     a = step_splitstep(f, 1e-3, kp1_alpha1, nonlinear=False)
@@ -199,6 +221,31 @@ def test_evolve_momentum_stays_exactly_zero(kp1_alpha1):
     traj = evolve(f0, cfg, kp1_alpha1)
     for state in traj.states:
         assert np.all(state.data[:, 0] == 0.0)
+
+
+def _bits(f: Field) -> bytes:
+    return f.data.tobytes()
+
+
+@pytest.mark.parametrize("sign", [KPSign.KP1, KPSign.KP2])
+def test_evolve_is_bitwise_the_same_under_both_zero_mode_policies(sign):
+    grid = make_grid(32, 32, 4 * np.pi, 4 * np.pi)
+    f0 = make_initial_data(grid, GaussianData(amplitude=0.3, sigma_x=1.0, sigma_y=1.0))
+    data = f0.data.copy()
+    data[0, 0] = 1e-16 * np.max(np.abs(data))  # below the policy tolerance: both accept it
+    f0 = Field(grid, data, f0.reality)
+    cfg = SolverConfig(dt=1e-3, t_final=0.01)
+    monitors = (NormSpec(1.0, 0.0), NormSpec(2.0, 1.0))
+    runs = [
+        evolve(f0, cfg, DispersionParams(kp_sign=sign, alpha=0.5, zero_mode=policy), monitors)
+        for policy in (ZeroModePolicy.PROJECT_OUT, ZeroModePolicy.ERROR)
+    ]
+    assert [_bits(s) for s in runs[0].states] == [_bits(s) for s in runs[1].states]
+    assert runs[0].diagnostics == runs[1].diagnostics
+    assert runs[0].states[0] is f0  # the input is stored as given
+    for state in runs[0].states[1:]:
+        line = _line_parts(state)
+        assert np.all(line == 0.0) and not np.any(np.signbit(line))
 
 
 def test_evolve_matches_repeated_propagate_when_linearized(grid32, kp1_alpha1):

@@ -56,6 +56,20 @@ def test_random_shell_deterministic_and_real(grid32):
     assert np.all(radius[live] < 2.0**4)
 
 
+@pytest.mark.parametrize(
+    "grid, shell",
+    [
+        (make_grid(16, 16, 2 * np.pi, 2 * np.pi), 1000),  # beyond the largest radius
+        (make_grid(16, 16, 2 * np.pi, 2 * np.pi), 2**40),
+        (make_grid(16, 16, 0.02 * np.pi, 2 * np.pi), 1),  # lattice points on xi = 0 only
+    ],
+    ids=["beyond-the-grid", "huge-index", "zero-line-only"],
+)
+def test_random_shell_without_lattice_points_off_the_zero_line_is_rejected(grid, shell):
+    with pytest.raises(ConfigError, match=r"^initial_data\.shell"):
+        make_initial_data(grid, RandomShellData(shell=shell, seed=1))
+
+
 def test_file_roundtrip(tmp_path, grid16):
     original = make_initial_data(grid16, ModeSumData(modes=((1, 2, 0.4, 0.1),)))
     path = tmp_path / "f.kp5f"
