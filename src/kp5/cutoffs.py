@@ -10,6 +10,8 @@ plateau value 1 or 0 by construction, not by rounding.  The dyadic shells
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 __all__ = ["cutoff_psi", "cutoff_psi_T", "dyadic_eta"]
@@ -37,7 +39,8 @@ def cutoff_psi_T(t, T: float):
 
 def dyadic_eta(j: int, x):
     """Dyadic shell bump: eta_0 = psi, eta_j(x) = psi(2**-j x) - psi(2**(1-j) x)."""
-    if j < 0 or j != int(j):
+    # NaN fails the first comparison and +inf the second, before any int()
+    if not (0 <= j < math.inf and j % 1 == 0):
         raise ValueError(f"shell index must be a nonnegative integer, got {j!r}")
     if j == 0:
         return cutoff_psi(x)

@@ -24,7 +24,7 @@ import scipy.fft
 from .cutoffs import cutoff_psi, cutoff_psi_T
 from .dispersion import DispersionParams, omega_on_grid
 from .errors import ContractionFailureError
-from .evolution import SolverConfig, Trajectory, _diagnostics_record, _diagnostics_tables
+from .evolution import SolverConfig, Trajectory, _diagnostics_record
 from .field import Field, hermitian_complete
 from .norms import NormSpec
 from .symbols import require_zero_x_mean, zero_mode_project
@@ -83,9 +83,6 @@ def duhamel_picard(
     n_nodes = cfg.n_steps * sub + 1
     t = np.arange(n_nodes) * h
 
-    # the diagnostics run after the iteration; their caches are filled now,
-    # before the node arrays grow the heap
-    _diagnostics_tables(grid, params.alpha, monitors)
     # a real phi lives on the half spectrum: every interior column stands for
     # itself and its Hermitian mirror, so it counts twice in the distance
     real = phi.reality

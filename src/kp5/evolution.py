@@ -18,14 +18,7 @@ import numpy as np
 from .dispersion import DispersionParams, omega_on_grid
 from .errors import BlowUpError, SingularSymbolError
 from .field import Field
-from .norms import (
-    NormSpec,
-    _energy_weights,
-    _sobolev_weights,
-    energy_functional,
-    mass,
-    sobolev_aniso_norm,
-)
+from .norms import NormSpec, energy_functional, mass, sobolev_aniso_norm
 from .symbols import _policy_project, dealias, require_zero_x_mean, x_derivative
 
 __all__ = [
@@ -159,18 +152,6 @@ def _advection_dt_ceiling(f: Field) -> float:
     ximax = float(np.max(np.abs(f.grid.xi)))
     scale = umax * ximax
     return np.inf if scale == 0.0 else 1.0 / scale
-
-
-def _diagnostics_tables(grid, alpha: float, monitors: tuple[NormSpec, ...]) -> None:
-    """Fill the caches `_diagnostics_record` reads.
-
-    A solver calls this (or records a state) before its large allocations:
-    a cache entry first made after them sits above the grown heap for the
-    rest of the process and keeps that memory from being returned.
-    """
-    _energy_weights(grid, alpha)
-    for spec in monitors:
-        _sobolev_weights(grid, spec.s1, spec.s2)
 
 
 def _diagnostics_record(

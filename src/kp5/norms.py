@@ -10,7 +10,6 @@ quantities (`mass`, `energy_functional`, `momentum`) carry the cell area
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -57,24 +56,11 @@ class NormSpec:
         return f"h_{self.s1:g}_{self.s2:g}"
 
 
-# Room for the nine (s1, s2) pairs `kp5 norms` and the unitarity suite loop
-# over plus the solver monitors; a smaller LRU would miss on every call of
-# such a loop.
-@lru_cache(maxsize=64)
 def _sobolev_weights(grid: SpectralGrid, s1: float, s2: float) -> tuple[np.ndarray, np.ndarray]:
-    """Write-locked factors of the weight <xi>**s1 <mu>**s2: a (1, nx) row
-    and a (ny, 1) column whose product is the (ny, nx) lattice weight.
-
-    The powers are what cost, so they are taken once per axis and the
-    product is formed per call.  Entries of nx + ny floats leave no
-    permanent lattice-sized block on the heap (see the allocator finding
-    in ROADMAP.md).
-    """
-    row = bracket(grid.xi)[None, :] ** s1
-    col = bracket(grid.mu)[:, None] ** s2
-    row.flags.writeable = False
-    col.flags.writeable = False
-    return row, col
+    """Factors of the weight <xi>**s1 <mu>**s2: a (1, nx) row and a (ny, 1)
+    column whose product is the (ny, nx) lattice weight.  The powers are
+    taken per axis, so they cost nx + ny evaluations, not nx*ny."""
+    return bracket(grid.xi)[None, :] ** s1, bracket(grid.mu)[:, None] ** s2
 
 
 def sobolev_aniso_norm(f: Field, spec: NormSpec) -> float:
@@ -106,20 +92,6 @@ def momentum(f: Field) -> float:
     return float(np.real(coeff)) * np.sqrt(f.grid.nx * f.grid.ny) * f.grid.cell_area
 
 
-@lru_cache(maxsize=64)
-def _energy_weights(grid: SpectralGrid, alpha: float) -> tuple[np.ndarray, np.ndarray]:
-    """Write-locked (1, nx) rows of the Hamiltonian weights
-    0.5*xi**4 - 0.5*alpha*xi**2 + 0.5*(mu/xi)**2: the polynomial part
-    0.5*xi**4 - 0.5*alpha*xi**2, and xi with 1 in place of its zero entry
-    (the divisor of the mu term)."""
-    xi = grid.xi[None, :]
-    poly = 0.5 * xi**4 - 0.5 * alpha * xi**2
-    xi_safe = np.where(xi == 0.0, 1.0, xi)
-    poly.flags.writeable = False
-    xi_safe.flags.writeable = False
-    return poly, xi_safe
-
-
 def energy_functional(f: Field, alpha: float) -> float:
     """Hamiltonian of the first-branch flow:
 
@@ -135,8 +107,9 @@ def energy_functional(f: Field, alpha: float) -> float:
     """
     require_zero_x_mean(f, what="energy functional")
     grid = f.grid
-    poly, xi_safe = _energy_weights(grid, alpha)
-    weights = poly + 0.5 * (grid.mu[:, None] / xi_safe) ** 2
+    xi = grid.xi[None, :]
+    xi_safe = np.where(xi == 0.0, 1.0, xi)
+    weights = 0.5 * xi**4 - 0.5 * alpha * xi**2 + 0.5 * (grid.mu[:, None] / xi_safe) ** 2
     weights[:, 0] = 0.0  # xi = 0 line carries no content by precondition
     quadratic = grid.cell_area * float(np.sum(weights * np.abs(f.data) ** 2))
     u = np.real(f.to_physical())

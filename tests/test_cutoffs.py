@@ -48,11 +48,12 @@ def test_eta_examples():
         assert dyadic_eta(j, 0.0) == 0.0  # both plateau terms equal 1
     assert dyadic_eta(3, 8.0) == 1.0  # psi(1) - psi(2) = 1 - 0
     assert dyadic_eta(3, 6.0) == pytest.approx(1.0 - cutoff_psi(1.5), abs=1e-15)
-    with pytest.raises(ValueError):
-        dyadic_eta(-1, 0.0)
+    for j in (-1, 1.5, math.inf, -math.inf, math.nan, np.float64(math.inf), np.float64(math.nan)):
+        with pytest.raises(ValueError, match="shell index must be a nonnegative integer"):
+            dyadic_eta(j, 0.0)
 
 
-@pytest.mark.parametrize("j", [1025, 1026, 2**31, 2**40, 10**30])
+@pytest.mark.parametrize("j", [1025, 1026, 2**31, 2**40, 10**30, 10**400, 1e300])
 def test_eta_of_a_huge_shell_is_exactly_zero(j):
     x = np.array([0.0, 5e-324, 1.0, -3.0, 1e300, -np.finfo(float).max, np.inf, -np.inf, np.nan])
     out = dyadic_eta(j, x)

@@ -3,11 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-import kp5.duhamel
 from kp5 import (
     Field,
     ModeSumData,
-    NormSpec,
     SolverConfig,
     duhamel_picard,
     evolve,
@@ -15,7 +13,6 @@ from kp5 import (
     make_initial_data,
 )
 from kp5.errors import ContractionFailureError, ZeroMassViolationError
-from kp5.norms import _energy_weights, _sobolev_weights
 
 
 def _small_data(grid, l2_target=0.009):
@@ -94,30 +91,6 @@ def test_rejects_nonzero_x_mean(grid16, kp1):
     f = Field.from_physical(grid16, np.ones(grid16.shape))
     with pytest.raises(ZeroMassViolationError):
         duhamel_picard(f, SolverConfig(dt=1e-3, t_final=1e-2, cutoff_T=0.1), kp1)
-
-
-def test_diagnostics_tables_are_built_once_and_before_the_iteration(grid16, kp1_alpha1, monkeypatch):
-    """A table first built after the node arrays would pin the grown heap,
-    so both tables must exist when the first nonlinear term is computed."""
-    monitors = (NormSpec(1.0, 0.0), NormSpec(0.0, 1.0))
-    original = kp5.duhamel._nonlinear_slices
-    calls = []
-
-    def checked(u, grid, real):
-        assert _energy_weights.cache_info().currsize == 1
-        assert _sobolev_weights.cache_info().currsize == len(monitors)
-        calls.append(1)
-        return original(u, grid, real)
-
-    monkeypatch.setattr(kp5.duhamel, "_nonlinear_slices", checked)
-    _energy_weights.cache_clear()
-    _sobolev_weights.cache_clear()
-    cfg = SolverConfig(dt=1e-3, t_final=5e-3, cutoff_T=0.1, quadrature_nodes=3)
-    result = duhamel_picard(_small_data(grid16), cfg, kp1_alpha1, monitors)
-    assert calls
-    assert len(result.trajectory.diagnostics) == 11
-    assert _energy_weights.cache_info().misses == 1
-    assert _sobolev_weights.cache_info().misses == len(monitors)
 
 
 def test_half_and_full_spectrum_layouts_agree(grid32, kp1_alpha1):

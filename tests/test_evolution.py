@@ -24,7 +24,6 @@ from kp5 import (
     zero_mode_project,
 )
 from kp5.errors import BlowUpError, SingularSymbolError
-from kp5.norms import _energy_weights, _sobolev_weights
 
 
 def _random_zero_mean(grid, seed=0):
@@ -256,16 +255,6 @@ def test_evolve_matches_repeated_propagate_when_linearized(grid32, kp1_alpha1):
         direct = linear_propagate(f0, float(t), kp1_alpha1)
         budget = 1e-12 * max(1, i) * f0.l2_norm()
         assert (traj.states[i] - direct).l2_norm() <= budget
-
-
-def test_evolve_builds_each_diagnostics_table_once(grid16, kp1_alpha1):
-    _energy_weights.cache_clear()
-    _sobolev_weights.cache_clear()
-    monitors = (NormSpec(1.0, 0.0), NormSpec(0.0, 1.0))
-    traj = evolve(_random_zero_mean(grid16, 7), SolverConfig(dt=1e-3, t_final=5e-3), kp1_alpha1, monitors)
-    assert len(traj.diagnostics) == 6
-    assert _energy_weights.cache_info().misses == 1
-    assert _sobolev_weights.cache_info().misses == len(monitors)
 
 
 def test_evolve_requires_zero_x_mean(grid16, kp1):

@@ -1,9 +1,13 @@
+import importlib
+import pkgutil
+
 import numpy as np
 import pytest
 
+import kp5
 from kp5 import Field, NormSpec, bracket, energy_functional, make_grid, mass, momentum, sobolev_aniso_norm, tilde_norm, zero_mode_project
 from kp5.errors import NormSpecError, ZeroMassViolationError
-from kp5.norms import _energy_weights, _sobolev_weights
+from kp5.norms import _sobolev_weights
 
 
 def test_bracket_values():
@@ -116,39 +120,45 @@ def test_mass_and_momentum(grid16):
     assert momentum(const) == pytest.approx(2.0 * grid16.lx * grid16.ly, rel=1e-12)
 
 
-# -- cached weight tables ----------------------------------------------------
+# -- weight formulas ---------------------------------------------------------
 
 
-def test_energy_weights_are_the_documented_formula_write_locked():
+@pytest.mark.parametrize("s1", [0.0, 1.0, 2.0])
+@pytest.mark.parametrize("s2", [0.0, 1.0, 2.0])
+def test_sobolev_weights_are_the_documented_formula(s1, s2):
+    """The nine (s1, s2) pairs `kp5 norms` prints."""
     grid = make_grid(16, 8, 5.0, 3.0)
-    alpha = 0.7
-    poly, xi_safe = _energy_weights(grid, alpha)
-    xi = grid.xi[None, :]
-    assert not poly.flags.writeable and not xi_safe.flags.writeable
-    assert poly.shape == xi_safe.shape == (1, grid.nx)
-    assert poly.tobytes() == (0.5 * xi**4 - 0.5 * alpha * xi**2).tobytes()
-    assert xi_safe.tobytes() == np.where(xi == 0.0, 1.0, xi).tobytes()
-    assert _energy_weights(make_grid(16, 8, 5.0, 3.0), alpha) is _energy_weights(grid, alpha)
-    assert _energy_weights(grid, -alpha) is not _energy_weights(grid, alpha)
-
-
-def test_sobolev_weights_are_the_documented_formula_write_locked():
-    grid = make_grid(16, 8, 5.0, 3.0)
-    row, col = _sobolev_weights(grid, 1.5, 0.5)
-    assert not row.flags.writeable and not col.flags.writeable
+    row, col = _sobolev_weights(grid, s1, s2)
     assert row.shape == (1, grid.nx) and col.shape == (grid.ny, 1)
-    expected = bracket(grid.xi_mesh) ** 1.5 * bracket(grid.mu_mesh) ** 0.5
+    expected = bracket(grid.xi_mesh) ** s1 * bracket(grid.mu_mesh) ** s2
     assert (row * col).tobytes() == expected.tobytes()
-    assert _sobolev_weights(make_grid(16, 8, 5.0, 3.0), 1.5, 0.5) is _sobolev_weights(grid, 1.5, 0.5)
-    assert _sobolev_weights(grid, 0.5, 1.5) is not _sobolev_weights(grid, 1.5, 0.5)
 
 
-def test_sobolev_cache_holds_the_nine_pair_loop_and_two_monitors(grid16):
-    assert _sobolev_weights.cache_info().maxsize >= 11
-    f = Field.single_mode(grid16, 1, 2)
-    _sobolev_weights.cache_clear()
-    for _ in range(2):
-        for s1 in (0, 1, 2):
-            for s2 in (0, 1, 2):
-                sobolev_aniso_norm(f, NormSpec(float(s1), float(s2)))
-    assert _sobolev_weights.cache_info().misses == 9
+def test_energy_is_the_documented_weight_sum_plus_the_cubic_term():
+    grid = make_grid(16, 8, 5.0, 3.0)
+    rng = np.random.default_rng(11)
+    f = zero_mode_project(Field.from_physical(grid, rng.standard_normal(grid.shape)))
+    alpha = 0.7
+    xi = grid.xi[None, :]
+    xi_safe = np.where(xi == 0.0, 1.0, xi)
+    weights = 0.5 * xi**4 - 0.5 * alpha * xi**2 + 0.5 * (grid.mu[:, None] / xi_safe) ** 2
+    weights[:, 0] = 0.0
+    u = np.real(f.to_physical())
+    quadratic = grid.cell_area * float(np.sum(weights * np.abs(f.data) ** 2))
+    cubic = grid.cell_area * float(np.sum(u * u * u)) / 6.0
+    assert energy_functional(f, alpha) == quadratic + cubic
+
+
+def test_the_only_process_lifetime_caches_are_the_omega_lattice_and_shell_weights():
+    """Diagnostics weights are computed per call; README names these two
+    functools caches as the only tables kp5 keeps for the process."""
+    cached = set()
+    for info in pkgutil.iter_modules(kp5.__path__):
+        module = importlib.import_module(f"kp5.{info.name}")
+        scopes = [module, *(v for v in vars(module).values() if isinstance(v, type))]
+        for scope in scopes:
+            for obj in vars(scope).values():
+                fn = getattr(obj, "__func__", obj)  # unwrap static and class methods
+                if hasattr(fn, "cache_info") and fn.__module__ == module.__name__:
+                    cached.add(f"{info.name}.{fn.__qualname__}")
+    assert cached == {"dispersion._omega_lattice", "spacetime._shell_weight"}
