@@ -249,7 +249,7 @@ def cmd_verify(args) -> int:
                     {"suite": report.suite, "summary": report.summary},
                 ),
             )
-    except ValueError as exc:  # a sample count the suite cannot use
+    except (ValueError, OverflowError) as exc:  # a sample count the suite cannot use
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if not args.quiet:
@@ -412,6 +412,9 @@ def main(argv=None) -> int:
         return EXIT_IO
     except KP5Error as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 1
 
 

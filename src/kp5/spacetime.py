@@ -12,7 +12,7 @@ the modulation variable is ``sigma = tau - omega``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -47,18 +47,11 @@ def _sigma_lattice(
     return tau[:, None, None] - omega_on_grid(grid, params)[None, :, :]
 
 
-# Two entries: a sweep works through its shells in order, so at most two shells
-# are in flight across its workers.  Holding more would keep every shell's
-# weight (8*nt*ny*nx bytes each) alive for the life of the process.
-@lru_cache(maxsize=2)
 def _shell_weight(
     grid: SpectralGrid, nt: int, t_window: float, params: DispersionParams, j: int
 ) -> np.ndarray:
-    """Write-locked dyadic shell weight eta_j(tau - omega) on the (nt, ny, nx)
-    lattice; every sample of a shell shares it."""
-    weight = dyadic_eta(j, _sigma_lattice(grid, nt, t_window, params))
-    weight.flags.writeable = False
-    return weight
+    """Dyadic shell weight eta_j(tau - omega) on the (nt, ny, nx) lattice."""
+    return dyadic_eta(j, _sigma_lattice(grid, nt, t_window, params))
 
 
 @dataclass(frozen=True)
@@ -150,9 +143,12 @@ def random_modulation_shell(
     j: int,
     seed,
     params: DispersionParams,
+    weight: np.ndarray | None = None,
 ) -> SpaceTimeField:
-    """Random coefficients weighted by the j-th dyadic modulation shell."""
-    weight = _shell_weight(grid, nt, float(t_window), params, j)
+    """Random coefficients weighted by the j-th dyadic modulation shell; a
+    precomputed ``weight`` is that shell's eta_j(tau - omega)."""
+    if weight is None:
+        weight = _shell_weight(grid, nt, float(t_window), params, j)
     rng = np.random.default_rng(seed)
     shape = (nt, grid.ny, grid.nx)
     coeffs = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * weight
@@ -178,17 +174,19 @@ def modulation_project(
     j: int,
     params: DispersionParams,
     variant: str = "modulus",
+    weight: np.ndarray | None = None,
 ) -> SpaceTimeField:
     """Multiply the spectrum by the dyadic shell eta_j(tau - omega).
 
     ``variant="modulus"`` discards coefficient phases before weighting (the
     form the shell estimates are stated for); ``variant="keep_phase"`` is the
-    plain projection.
+    plain projection.  A precomputed ``weight`` is eta_j(tau - omega).
     """
     if variant not in ("modulus", "keep_phase"):
         raise ValueError(f"variant must be 'modulus' or 'keep_phase', got {variant!r}")
     require_zero_x_mean(u, "modulation projection")
-    weight = _shell_weight(u.grid, u.nt, u.t_window, params, j)
+    if weight is None:
+        weight = _shell_weight(u.grid, u.nt, u.t_window, params, j)
     if variant == "modulus":
         # widen after the float product: same bits as weighting a complex
         # |u| (its imaginary parts are +0), without the complex temporary
@@ -213,6 +211,7 @@ def strichartz_ratio(
     T: float,
     params: DispersionParams,
     variant: str = "modulus",
+    weight: np.ndarray | None = None,
 ) -> float:
     """Mixed-norm smoothing ratio of the j-th modulation shell of ``u``:
 
@@ -220,7 +219,7 @@ def strichartz_ratio(
 
     with q = 2r/(r - 2) (sup over time when r = 2).  Integral norms: lattice
     sums carry the cell area and time step.  Raises ``UndefinedRatioError``
-    when the shell is empty.
+    when the shell is empty; ``weight`` is as for ``modulation_project``.
     """
     if r < 2:
         raise ValueError(f"inner exponent r must be >= 2, got {r!r}")
@@ -229,15 +228,15 @@ def strichartz_ratio(
     if T >= 0.5 * u.t_window:
         raise ValueError("restriction window [-T, T] exceeds the periodic time window")
 
-    fj = modulation_project(u, j, params, variant=variant)
+    fj = modulation_project(u, j, params, variant=variant, weight=weight)
     l2 = fj.l2_norm() * np.sqrt(fj.cell_volume)
     if l2 == 0.0:
         raise UndefinedRatioError(f"modulation shell j={j} of the field is empty")
 
     exponent = 0.5 - 1.0 / r
-    weight = np.abs(u.grid.xi_mesh) ** exponent
+    smoothing = np.abs(u.grid.xi_mesh) ** exponent
     # rebinding fj releases the unweighted shell before the transforms run
-    fj = SpaceTimeField(u.grid, u.nt, u.t_window, fj.data * weight[None, :, :])
+    fj = SpaceTimeField(u.grid, u.nt, u.t_window, fj.data * smoothing[None, :, :])
     keep = _restriction_mask(u, T)
     if not np.any(keep):
         raise UndefinedRatioError("no time samples fall inside [-T, T]")

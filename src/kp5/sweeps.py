@@ -24,7 +24,7 @@ from .field import Field
 from .grid import make_grid
 from .norms import NormSpec, sobolev_aniso_norm
 from .resonance import kp2_lower_bound_ratio, resonance_identity_check
-from .spacetime import random_modulation_shell, strichartz_ratio
+from .spacetime import _shell_weight, random_modulation_shell, strichartz_ratio
 from .symbols import zero_mode_project
 
 __all__ = ["SuiteReport", "SUITES", "run_suite", "thread_budget"]
@@ -150,22 +150,25 @@ def strichartz_suite(
     master = np.random.SeedSequence(seed)
     children = master.spawn(len(j_values) * samples)
 
-    def one(task) -> float:
-        idx, j = task
-        u = random_modulation_shell(grid, size, 2.0 * np.pi, j, children[idx], params)
-        return strichartz_ratio(u, j, r=r, T=T, params=params)
+    def shell(i: int, j: int) -> list[float]:
+        # one pool task per shell: its weight is computed once, dropped with the task
+        weight = _shell_weight(grid, size, 2.0 * np.pi, params, j)
+        block = []
+        for k in range(samples):
+            u = random_modulation_shell(grid, size, 2.0 * np.pi, j, children[i * samples + k], params, weight)
+            block.append(strichartz_ratio(u, j, r=r, T=T, params=params, weight=weight))
+        return block
 
-    tasks = [(i * samples + k, j) for i, j in enumerate(j_values) for k in range(samples)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        ratios = list(pool.map(one, tasks))
+        blocks = list(pool.map(shell, range(len(j_values)), j_values))
 
     rows = []
     max_log2 = []
-    for i, j in enumerate(j_values):
-        block = ratios[i * samples : (i + 1) * samples]
+    for j, block in zip(j_values, blocks):
         for k, value in enumerate(block):
             rows.append({"j": j, "r": r, "sample": k, "ratio": value})
         max_log2.append(np.log2(max(block)))
+    ratios = np.concatenate(blocks)
     slope = float(np.polyfit(np.asarray(j_values, dtype=float), np.asarray(max_log2), 1)[0])
     finite = bool(np.all(np.isfinite(ratios)))
     return SuiteReport(
@@ -197,8 +200,8 @@ def convolution_suite(seed: int, samples: int = 201) -> SuiteReport:
     worst_bracket: dict[float, float] = {}
     worst_sqrt: dict[float, float] = {}
     for gamma in (1.1, 1.5, 2.0, 3.0):
-        best_b = 0.0
-        best_s = 0.0
+        worst_bracket[gamma] = 0.0
+        worst_sqrt[gamma] = 0.0
         for a in a_grid:
             res = convolution_bound_check(gamma, float(a))
             rows.append(
@@ -211,10 +214,8 @@ def convolution_suite(seed: int, samples: int = 201) -> SuiteReport:
                     "ratio_sqrt": res.ratio_sqrt,
                 }
             )
-            best_b = max(best_b, res.ratio_bracket)
-            best_s = max(best_s, res.ratio_sqrt)
-        worst_bracket[gamma] = best_b
-        worst_sqrt[gamma] = best_s
+            worst_bracket[gamma] = max(worst_bracket[gamma], res.ratio_bracket)
+            worst_sqrt[gamma] = max(worst_sqrt[gamma], res.ratio_sqrt)
     spot = convolution_bound_check(2.0, 0.0).lhs_bracket
     spot_err = abs(spot - 0.5 * np.pi)
     finite = all(np.isfinite(row["ratio_bracket"]) and np.isfinite(row["ratio_sqrt"]) for row in rows)

@@ -137,6 +137,19 @@ def test_picard_contraction_failure_exit_code(tmp_path):
     assert (out / "distances.csv").exists()
 
 
+def test_picard_out_of_memory_is_a_one_line_error(tmp_path, capsys, monkeypatch):
+    def no_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 21.5 GiB for the node arrays")
+
+    monkeypatch.setattr("kp5.cli.duhamel_picard", no_memory)
+    cfg = _write_config(tmp_path / "cfg.json")
+    out = tmp_path / "never"
+    assert main(["picard", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: out of memory: Unable to allocate 21.5 GiB for the node arrays\n"
+    assert not out.exists()
+
+
 def test_verify_suites_and_unknown_suite(tmp_path):
     out = tmp_path / "v"
     rc = main(["verify", "resonance", "--seed", "11", "--samples", "500", "--out", str(out), "--quiet"])
@@ -265,6 +278,8 @@ def test_picard_rejects_fractional_or_infinite_counts(tmp_path, capsys, key, val
         ["verify", "unitarity", "--samples", "-1"],
         ["verify", "convolution", "--samples", "0"],
         ["verify", "strichartz", "--samples", "-1"],
+        ["verify", "strichartz", "--samples", str(10**20)],
+        ["verify", "dyadic", "--samples", str(10**20)],
     ],
 )
 def test_verify_rejects_non_positive_samples(tmp_path, capsys, argv):

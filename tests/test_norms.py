@@ -149,9 +149,9 @@ def test_energy_is_the_documented_weight_sum_plus_the_cubic_term():
     assert energy_functional(f, alpha) == quadratic + cubic
 
 
-def test_the_only_process_lifetime_caches_are_the_omega_lattice_and_shell_weights():
-    """Diagnostics weights are computed per call; README names these two
-    functools caches as the only tables kp5 keeps for the process."""
+def test_the_only_process_lifetime_cache_is_the_omega_lattice():
+    """Diagnostics and shell weights are computed per call; README names this
+    functools cache as the only table kp5 keeps for the process."""
     cached = set()
     for info in pkgutil.iter_modules(kp5.__path__):
         module = importlib.import_module(f"kp5.{info.name}")
@@ -161,4 +161,4 @@ def test_the_only_process_lifetime_caches_are_the_omega_lattice_and_shell_weight
                 fn = getattr(obj, "__func__", obj)  # unwrap static and class methods
                 if hasattr(fn, "cache_info") and fn.__module__ == module.__name__:
                     cached.add(f"{info.name}.{fn.__qualname__}")
-    assert cached == {"dispersion._omega_lattice", "spacetime._shell_weight"}
+    assert cached == {"dispersion._omega_lattice"}

@@ -228,17 +228,31 @@ def test_random_shell_determinism(grid16, kp1):
     assert not np.array_equal(a.data, c.data)
 
 
-def test_shell_weight_is_cached_locked_and_exact(grid16, kp1):
+def test_shell_weight_is_exact(grid16, kp1):
     from kp5.cutoffs import dyadic_eta
     from kp5.spacetime import _shell_weight, _sigma_lattice
 
     weight = _shell_weight(grid16, NT, TW, kp1, 3)
-    assert _shell_weight(grid16, NT, TW, kp1, 3) is weight
-    assert not weight.flags.writeable
-    with pytest.raises(ValueError):
-        weight[0, 0, 0] = 1.0
     fresh = dyadic_eta(3, _sigma_lattice(grid16, NT, TW, kp1))
     assert weight.tobytes() == fresh.tobytes()
+
+
+@pytest.mark.parametrize("j", [0, 3])
+def test_a_precomputed_shell_weight_gives_the_same_bytes(grid16, kp1, j):
+    from kp5.spacetime import _shell_weight
+
+    weight = _shell_weight(grid16, NT, TW, kp1, j)
+    shell = random_modulation_shell(grid16, NT, TW, j, 42, kp1)
+    given = random_modulation_shell(grid16, NT, TW, j, 42, kp1, weight=weight)
+    assert given.data.tobytes() == shell.data.tobytes()
+    st = _zero_mean_spectral(grid16, np.random.default_rng(5))
+    for variant in ("modulus", "keep_phase"):
+        plain = modulation_project(st, j, kp1, variant=variant)
+        given = modulation_project(st, j, kp1, variant=variant, weight=weight)
+        assert given.data.tobytes() == plain.data.tobytes()
+        plain_ratio = strichartz_ratio(shell, j, r=4.0, T=0.5, params=kp1, variant=variant)
+        given_ratio = strichartz_ratio(shell, j, r=4.0, T=0.5, params=kp1, variant=variant, weight=weight)
+        assert np.float64(given_ratio).tobytes() == np.float64(plain_ratio).tobytes()
 
 
 @pytest.mark.parametrize("j", [0, 2, 5])

@@ -3,7 +3,6 @@ import pytest
 import kp5.spacetime
 from kp5.cutoffs import dyadic_eta
 from kp5.errors import ConfigError
-from kp5.spacetime import _shell_weight
 from kp5.sweeps import SUITES, run_suite, strichartz_suite, thread_budget
 
 
@@ -58,7 +57,8 @@ def test_strichartz_worker_count_invariance():
     assert serial.summary == threaded.summary
 
 
-def test_strichartz_computes_each_shell_weight_once(monkeypatch):
+@pytest.mark.parametrize("threads", [1, 2, 3])
+def test_strichartz_computes_each_shell_weight_once(monkeypatch, threads):
     calls = []
 
     def counting(j, x):
@@ -66,9 +66,8 @@ def test_strichartz_computes_each_shell_weight_once(monkeypatch):
         return dyadic_eta(j, x)
 
     monkeypatch.setattr(kp5.spacetime, "dyadic_eta", counting)
-    _shell_weight.cache_clear()
-    strichartz_suite(5, 3, j_values=(0, 2, 3), size=16, threads=1)
-    assert calls == [0, 2, 3]
+    strichartz_suite(5, 3, j_values=(0, 2, 3), size=16, threads=threads)
+    assert sorted(calls) == [0, 2, 3]
 
 
 def test_thread_budget_env(monkeypatch):
