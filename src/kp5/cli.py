@@ -6,7 +6,12 @@ a dumped field), ``resonance-map`` (level-set export).  Exit codes: 0 ok,
 2 config error (including a non-finite ``--alpha`` or range bound), unknown
 suite or a sample count below 1, 3 blow-up, 4 I/O trouble (including a held
 output-directory lock), 5 contraction failure; ``verify`` exits 1 when its
-assertions fail.  Every artifact of a seeded run is byte-reproducible.
+assertions fail, and any subcommand exits 1 with ``error: out of memory: ...``
+when its arrays cannot be allocated or, like a ``picard`` node array for
+``dt: 1e-300``, not even indexed.  A config whose ``t_final`` is no whole
+number of steps ``dt`` exits 2.  If writing the holder into a fresh lock
+fails, the lock is removed again.  Every artifact of a seeded run is
+byte-reproducible.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .fileio import config_sha256, read_field, write_csv, write_field, write_jso
 from .initial_data import make_initial_data
 from .norms import NormSpec, energy_functional, mass, sobolev_aniso_norm, tilde_norm
 from .resonance import resonance
-from .sweeps import SUITES, run_suite, thread_budget
+from .sweeps import SUITES, run_suite, suite_for, thread_budget
 from .symbols import has_zero_x_mean
 
 EXIT_OK = 0
@@ -63,12 +68,16 @@ class _OutputDir:
             self._fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
         except FileExistsError:
             raise OSError(f"output directory {self.path} is locked: {_lock_holder(lock)}") from None
-        holder = {
-            "pid": os.getpid(),
-            "host": socket.gethostname(),
-            "started": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
-        }
-        os.write(self._fd, json.dumps(holder).encode())
+        try:
+            holder = {
+                "pid": os.getpid(),
+                "host": socket.gethostname(),
+                "started": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
+            }
+            os.write(self._fd, json.dumps(holder).encode())
+        except BaseException:  # a lock without its holder must not outlive this run
+            self.__exit__(*sys.exc_info())
+            raise
         return self.path
 
     def __exit__(self, exc_type, *exc) -> None:
@@ -139,6 +148,20 @@ def _write_distances(out: Path, distances) -> None:
     write_csv(out / "distances.csv", rows, ("n", "distance"))
 
 
+def _finish(out: Path, args, cfg: RunConfig, command: str, traj: Trajectory, extra: dict) -> None:
+    """Write a run that reached t_final: diagnostics, final state, ``ok`` manifest."""
+    _write_diagnostics(out, traj, cfg)
+    write_field(out / "final.kp5f", traj.final(), time=float(traj.times[-1]))
+    payload = _manifest(command, cfg, args.seed, "ok", {**extra, "final": _final_norms(traj)})
+    write_json(out / "manifest.json", payload)
+
+
+def _stopped(out: Path, args, cfg: RunConfig, command: str, status: str, exc, extra: dict) -> None:
+    """Write the manifest of a solver run that ``exc`` stopped early."""
+    payload = _manifest(command, cfg, args.seed, status, {"error": str(exc), **extra})
+    write_json(out / "manifest.json", payload)
+
+
 def _write_snapshots(out: Path, traj: Trajectory, cfg: RunConfig) -> None:
     if cfg.snapshot_stride <= 0:
         return
@@ -160,26 +183,12 @@ def cmd_simulate(args) -> int:
         except BlowUpError as exc:
             if exc.partial is not None:
                 _write_diagnostics(out, exc.partial, cfg)
-            write_json(
-                out / "manifest.json",
-                _manifest(
-                    "simulate",
-                    cfg,
-                    args.seed,
-                    "blowup",
-                    {"error": str(exc), "time_reached": exc.time_reached},
-                ),
-            )
+            _stopped(out, args, cfg, "simulate", "blowup", exc, {"time_reached": exc.time_reached})
             if not args.quiet:
                 print(f"blow-up: {exc}", file=sys.stderr)
             return EXIT_BLOWUP
-        _write_diagnostics(out, traj, cfg)
         _write_snapshots(out, traj, cfg)
-        write_field(out / "final.kp5f", traj.final(), time=float(traj.times[-1]))
-        write_json(
-            out / "manifest.json",
-            _manifest("simulate", cfg, args.seed, "ok", {"final": _final_norms(traj)}),
-        )
+        _finish(out, args, cfg, "simulate", traj, {})
         if not args.quiet:
             print(f"simulate: {cfg.solver.n_steps} steps -> {out}")
     return EXIT_OK
@@ -194,47 +203,25 @@ def cmd_picard(args) -> int:
             result = duhamel_picard(f0, cfg.solver, cfg.dispersion, monitors=cfg.monitors)
         except ContractionFailureError as exc:
             _write_distances(out, exc.distances)
-            write_json(
-                out / "manifest.json",
-                _manifest("picard", cfg, args.seed, "contraction_failure", {"error": str(exc)}),
-            )
+            _stopped(out, args, cfg, "picard", "contraction_failure", exc, {})
             if not args.quiet:
                 print(f"contraction failure: {exc}", file=sys.stderr)
             return EXIT_CONTRACTION
         _write_distances(out, result.distances)
-        _write_diagnostics(out, result.trajectory, cfg)
-        write_field(
-            out / "final.kp5f", result.trajectory.final(), time=float(result.trajectory.times[-1])
-        )
-        write_json(
-            out / "manifest.json",
-            _manifest(
-                "picard",
-                cfg,
-                args.seed,
-                "ok",
-                {
-                    "converged": result.converged,
-                    "iterations": len(result.distances),
-                    "distances": [float(d) for d in result.distances],
-                    "final": _final_norms(result.trajectory),
-                },
-            ),
-        )
+        extra = {
+            "converged": result.converged,
+            "iterations": len(result.distances),
+            "distances": [float(d) for d in result.distances],
+        }
+        _finish(out, args, cfg, "picard", result.trajectory, extra)
         if not args.quiet:
             print(f"picard: {len(result.distances)} iterations, converged={result.converged}")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    # validate, then lock, then run: a held lock must not cost a whole suite
-    if args.suite not in SUITES:
-        print(f"error: unknown suite {args.suite!r}; choose from {sorted(SUITES)}", file=sys.stderr)
-        return EXIT_CONFIG
-    if args.samples is not None and args.samples < 1:
-        print(f"error: --samples must be >= 1, got {args.samples}", file=sys.stderr)
-        return EXIT_CONFIG
     try:
+        suite_for(args.suite, args.samples)  # before the lock: a held lock must not cost a suite
         with _OutputDir(args.out or f"kp5-verify-{args.suite}") as out:
             report = run_suite(args.suite, args.seed, args.samples)
             if report.rows:
@@ -249,7 +236,7 @@ def cmd_verify(args) -> int:
                     {"suite": report.suite, "summary": report.summary},
                 ),
             )
-    except (ValueError, OverflowError) as exc:  # a sample count the suite cannot use
+    except (ValueError, OverflowError) as exc:  # an unknown suite or a sample count it cannot use
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     if not args.quiet:
@@ -309,18 +296,14 @@ def cmd_resonance_map(args) -> int:
     mu1s = _parse_range(args.mu1, "mu1")
     mu2s = _parse_range(args.mu2, "mu2")
     with _OutputDir(args.out or "kp5-resonance-map") as out:
-        rows = []
-        skipped = 0
-        for xi1 in xi1s:
-            for xi2 in xi2s:
-                if xi1 == 0.0 or xi2 == 0.0 or xi1 + xi2 == 0.0:
-                    skipped += len(mu1s) * len(mu2s)
-                    continue
-                for mu1 in mu1s:
-                    for mu2 in mu2s:
-                        value = resonance(float(xi1), float(xi2), float(mu1), float(mu2), params)
-                        rows.append({"xi1": xi1, "xi2": xi2, "mu1": mu1, "mu2": mu2, "R": value})
-        write_csv(out / "resonance_map.csv", rows, ("xi1", "xi2", "mu1", "mu2", "R"))
+        # the lattice in nested-loop order, less the points where R is undefined
+        xi1, xi2, mu1, mu2 = (a.ravel() for a in np.meshgrid(xi1s, xi2s, mu1s, mu2s, indexing="ij"))
+        keep = (xi1 != 0.0) & (xi2 != 0.0) & (xi1 + xi2 != 0.0)
+        xi1, xi2, mu1, mu2 = xi1[keep], xi2[keep], mu1[keep], mu2[keep]
+        values = resonance(xi1, xi2, mu1, mu2, params)
+        columns = ("xi1", "xi2", "mu1", "mu2", "R")
+        rows = [dict(zip(columns, point)) for point in zip(xi1, xi2, mu1, mu2, values)]
+        write_csv(out / "resonance_map.csv", rows, columns)
         write_json(
             out / "manifest.json",
             _manifest(
@@ -332,7 +315,7 @@ def cmd_resonance_map(args) -> int:
                     "kp_sign": args.kp_sign,
                     "alpha": args.alpha,
                     "rows": len(rows),
-                    "skipped_degenerate": skipped,
+                    "skipped_degenerate": int(np.count_nonzero(~keep)),
                 },
             ),
         )
@@ -372,7 +355,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_picard)
 
     p = sub.add_parser("verify", help="run a seeded verification suite")
-    p.add_argument("suite", help="resonance | kp2bound | strichartz | convolution | dyadic | unitarity")
+    p.add_argument("suite", help=" | ".join(SUITES))
     p.add_argument("--samples", type=int, default=None, help="override the suite's sample count")
     _add_common(p)
     p.set_defaults(func=cmd_verify)

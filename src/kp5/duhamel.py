@@ -81,12 +81,17 @@ def duhamel_picard(
     sub = cfg.quadrature_nodes - 1
     h = cfg.dt / sub
     n_nodes = cfg.n_steps * sub + 1
+    real = phi.reality
+    cols = grid.nx // 2 + 1 if real else grid.nx
+    if 16 * n_nodes * grid.ny * cols > np.iinfo(np.intp).max:
+        raise MemoryError(
+            f"one node array of {n_nodes:.3g} nodes x {grid.ny}x{cols} complex modes "
+            "exceeds numpy's maximum array size"
+        )
     t = np.arange(n_nodes) * h
 
     # a real phi lives on the half spectrum: every interior column stands for
     # itself and its Hermitian mirror, so it counts twice in the distance
-    real = phi.reality
-    cols = grid.nx // 2 + 1 if real else grid.nx
     weights = np.full(cols, 2.0 if real else 1.0)
     weights[[0, -1]] = 1.0
     phase_fwd = np.exp(-1j * t[:, None, None] * omega_on_grid(grid, params)[None, :, :cols])

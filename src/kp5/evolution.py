@@ -51,6 +51,11 @@ class SolverConfig:
             raise ValueError(f"t_final must be positive, got {self.t_final!r}")
         if self.dt > self.t_final * (1 + 1e-12):
             raise ValueError("dt must not exceed t_final")
+        steps = self.t_final / self.dt
+        if not (np.isfinite(steps) and abs(steps - np.rint(steps)) <= 1e-9 * steps):
+            raise ValueError(
+                f"t_final must be a whole number of steps dt, got t_final/dt = {steps:.6g}"
+            )
         if self.picard_max_iters < 1:
             raise ValueError("picard_max_iters must be positive")
         if not self.picard_tol > 0:

@@ -27,7 +27,7 @@ from .resonance import kp2_lower_bound_ratio, resonance_identity_check
 from .spacetime import _shell_weight, random_modulation_shell, strichartz_ratio
 from .symbols import zero_mode_project
 
-__all__ = ["SuiteReport", "SUITES", "run_suite", "thread_budget"]
+__all__ = ["SuiteReport", "SUITES", "run_suite", "suite_for", "thread_budget"]
 
 
 @dataclass(frozen=True)
@@ -327,11 +327,16 @@ SUITES = {
 }
 
 
-def run_suite(name: str, seed: int, samples: int | None = None) -> SuiteReport:
-    """Dispatch a named suite with its default sample count unless overridden."""
+def suite_for(name: str, samples: int | None = None):
+    """The suite called ``name``; ValueError for an unknown name or samples < 1."""
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)}")
     if samples is not None and samples < 1:
         raise ValueError(f"sample count must be >= 1, got {samples}")
-    suite = SUITES[name]
+    return SUITES[name]
+
+
+def run_suite(name: str, seed: int, samples: int | None = None) -> SuiteReport:
+    """Dispatch a named suite with its default sample count unless overridden."""
+    suite = suite_for(name, samples)
     return suite(seed) if samples is None else suite(seed, samples)

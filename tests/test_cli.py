@@ -5,10 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from kp5.cli import main
+from kp5.dispersion import DispersionParams, KPSign
 from kp5.fileio import read_field
+from kp5.resonance import resonance
 
 
 def _write_config(path: Path, **overrides) -> Path:
@@ -150,6 +153,16 @@ def test_picard_out_of_memory_is_a_one_line_error(tmp_path, capsys, monkeypatch)
     assert not out.exists()
 
 
+def test_picard_with_an_unaddressable_node_count_is_a_one_line_error(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "cfg.json", solver={"dt": 1e-300, "t_final": 0.01})
+    out = tmp_path / "never"
+    assert main(["picard", "--config", str(cfg), "--out", str(out), "--quiet"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: out of memory: ") and err.count("\n") == 1
+    assert "1e+298 nodes" in err and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_verify_suites_and_unknown_suite(tmp_path):
     out = tmp_path / "v"
     rc = main(["verify", "resonance", "--seed", "11", "--samples", "500", "--out", str(out), "--quiet"])
@@ -199,6 +212,44 @@ def test_resonance_map_rows(tmp_path):
     assert len(rows) == 1 + 2 * 2 * 2 * 2
     first = rows[1].split(",")
     assert float(first[4]) == pytest.approx(30.0)  # (1,1,0,0) resonance
+
+
+def _read_map(out: Path):
+    lines = (out / "resonance_map.csv").read_text().splitlines()
+    rows = [tuple(float(cell) for cell in line.split(",")) for line in lines[1:]]
+    return lines[0], rows, json.loads((out / "manifest.json").read_text())
+
+
+def test_resonance_map_matches_the_scalar_path_point_by_point(tmp_path):
+    ranges = {"xi1": (-2, 2, 5), "xi2": (-2, 2, 5), "mu1": (-1, 1, 3), "mu2": (0, 1, 2)}
+    out = tmp_path / "map"
+    argv = [f"--{name}={lo}:{hi}:{n}" for name, (lo, hi, n) in ranges.items()]
+    assert main(["resonance-map", *argv, "--alpha=0.5", "--out", str(out), "--quiet"]) == 0
+    params = DispersionParams(kp_sign=KPSign.KP1, alpha=0.5)
+    expected, skipped = [], 0
+    xi1s, xi2s, mu1s, mu2s = (np.linspace(*r) for r in ranges.values())
+    for xi1 in xi1s:  # the loop the command used to run, point by point
+        for xi2 in xi2s:
+            for mu1 in mu1s:
+                for mu2 in mu2s:
+                    if xi1 == 0.0 or xi2 == 0.0 or xi1 + xi2 == 0.0:
+                        skipped += 1
+                        continue
+                    r = resonance(float(xi1), float(xi2), float(mu1), float(mu2), params)
+                    expected.append((xi1, xi2, mu1, mu2, r))
+    header, rows, manifest = _read_map(out)
+    assert header == "xi1,xi2,mu1,mu2,R"
+    assert rows == expected  # same order, every value bit for bit
+    assert skipped == 5 * 5 * 3 * 2 - len(expected) and skipped > 0
+    assert (manifest["rows"], manifest["skipped_degenerate"]) == (len(expected), skipped)
+
+
+def test_resonance_map_of_only_degenerate_points_writes_a_header(tmp_path):
+    out = tmp_path / "map"
+    assert main(["resonance-map", "--xi1=0:0:1", "--out", str(out), "--quiet"]) == 0
+    header, rows, manifest = _read_map(out)
+    assert header == "xi1,xi2,mu1,mu2,R" and rows == []
+    assert (manifest["rows"], manifest["skipped_degenerate"]) == (0, 9)
 
 
 @pytest.mark.parametrize(
@@ -310,6 +361,31 @@ def _locked_dir(tmp_path, text):
     out.mkdir()
     (out / ".kp5.lock").write_text(text)
     return out
+
+
+@pytest.mark.parametrize(
+    "argv", [["verify", "nosuchsuite"], ["verify", "dyadic", "--samples", "0"]]
+)
+def test_verify_checks_its_arguments_before_the_lock(tmp_path, capsys, argv):
+    holder = {"pid": os.getpid(), "host": socket.gethostname(), "started": "2026-01-02T03:04:05Z"}
+    out = _locked_dir(tmp_path, json.dumps(holder))
+    assert main(argv + ["--out", str(out), "--quiet"]) == 2  # not 4: the lock was never tried
+    assert capsys.readouterr().err.startswith("error:")
+    assert json.loads((out / ".kp5.lock").read_text()) == holder
+
+
+def test_a_failed_lock_write_leaves_no_lock(tmp_path, capsys, monkeypatch):
+    def no_host():
+        raise OSError("no host name")
+
+    monkeypatch.setattr("kp5.cli.socket.gethostname", no_host)  # runs after the lock is created
+    out = tmp_path / "map"
+    argv = ["resonance-map", "--out", str(out), "--quiet"]
+    assert main(argv) == 4
+    assert capsys.readouterr().err == "i/o error: no host name\n"
+    assert not out.exists()
+    monkeypatch.undo()
+    assert main(argv) == 0
 
 
 def test_lock_held_by_a_dead_process_is_reported_stale(tmp_path, capsys):

@@ -294,6 +294,8 @@ def test_integral_sign_and_range_rules_name_the_field(path, value, fragment):
         ("initial_data.sigma_y", -1.0, "initial_data: sigma_y must be positive"),
         ("grid.nx", 15, "grid: nx must be even"),
         ("solver.dt", 0.5, "solver: dt must not exceed t_final"),
+        ("solver.dt", 0.004, "solver: t_final must be a whole number of steps dt"),
+        ("solver.dt", 5e-324, "solver: t_final must be a whole number of steps dt"),
         ("monitors[0][1]", -1, "monitors[0]: Sobolev indices must be nonnegative"),
     ],
 )
