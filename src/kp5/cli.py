@@ -22,6 +22,7 @@ import os
 import platform
 import socket
 import sys
+import warnings
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -162,6 +163,13 @@ def _stopped(out: Path, args, cfg: RunConfig, command: str, status: str, exc, ex
     write_json(out / "manifest.json", payload)
 
 
+def _warned(caught) -> list[str]:
+    """Print caught solver warnings as ``warning:`` lines, even under --quiet."""
+    for w in caught:
+        print(f"warning: {w.message}", file=sys.stderr)
+    return [str(w.message) for w in caught]
+
+
 def _write_snapshots(out: Path, traj: Trajectory, cfg: RunConfig) -> None:
     if cfg.snapshot_stride <= 0:
         return
@@ -177,18 +185,19 @@ def cmd_simulate(args) -> int:
         f0 = make_initial_data(cfg.grid, cfg.initial_data)
         stride = cfg.snapshot_stride if cfg.snapshot_stride > 0 else cfg.solver.n_steps
         try:
-            traj = evolve(
-                f0, cfg.solver, cfg.dispersion, monitors=cfg.monitors, state_stride=stride
-            )
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always", RuntimeWarning)
+                traj = evolve(f0, cfg.solver, cfg.dispersion, monitors=cfg.monitors, state_stride=stride)
         except BlowUpError as exc:
+            notes = {"time_reached": exc.time_reached, "warnings": _warned(caught)}
             if exc.partial is not None:
                 _write_diagnostics(out, exc.partial, cfg)
-            _stopped(out, args, cfg, "simulate", "blowup", exc, {"time_reached": exc.time_reached})
+            _stopped(out, args, cfg, "simulate", "blowup", exc, notes)
             if not args.quiet:
                 print(f"blow-up: {exc}", file=sys.stderr)
             return EXIT_BLOWUP
         _write_snapshots(out, traj, cfg)
-        _finish(out, args, cfg, "simulate", traj, {})
+        _finish(out, args, cfg, "simulate", traj, {"warnings": _warned(caught)})
         if not args.quiet:
             print(f"simulate: {cfg.solver.n_steps} steps -> {out}")
     return EXIT_OK

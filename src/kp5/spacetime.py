@@ -49,9 +49,26 @@ def _sigma_lattice(
 
 def _shell_weight(
     grid: SpectralGrid, nt: int, t_window: float, params: DispersionParams, j: int
-) -> np.ndarray:
-    """Dyadic shell weight eta_j(tau - omega) on the (nt, ny, nx) lattice."""
-    return dyadic_eta(j, _sigma_lattice(grid, nt, t_window, params))
+) -> tuple[np.ndarray, np.ndarray]:
+    """Dyadic shell weight eta_j(tau - omega) on its support: the xi columns where
+    it is nonzero (never xi = 0) and its (nt, ny, len(columns)) block on them."""
+    weight = dyadic_eta(j, _sigma_lattice(grid, nt, t_window, params))
+    columns = np.flatnonzero(np.any(weight[:, :, 1:] != 0.0, axis=(0, 1))) + 1
+    return columns, weight[:, :, columns]
+
+
+def _on_columns(block: np.ndarray, columns: np.ndarray, nx: int) -> np.ndarray:
+    """Scatter an (..., len(columns)) block onto the xi ``columns`` of zeros."""
+    full = np.zeros(block.shape[:-1] + (nx,), dtype=np.complex128)
+    full[..., columns] = block
+    return full
+
+
+def _kept_slices(block: np.ndarray, columns: np.ndarray, nx: int, keep: np.ndarray) -> np.ndarray:
+    """``to_physical()[keep]`` of a spectrum that is zero off the xi ``columns``,
+    from its (nt, ny, len(columns)) block: only the block is time-transformed."""
+    spatial = np.fft.fft(block, axis=0, norm="ortho")[keep]
+    return np.fft.ifft2(_on_columns(spatial, columns, nx), axes=(1, 2), norm="ortho")
 
 
 @dataclass(frozen=True)
@@ -108,14 +125,9 @@ class SpaceTimeField(_Spectrum):
 
     # -- representations -------------------------------------------------------
 
-    def to_physical(self, keep: np.ndarray | None = None) -> np.ndarray:
-        """Physical samples ``u[it, iy, ix]``.  ``keep`` (a boolean mask or
-        index array over the nt samples) selects time slices: the temporal
-        transform still runs over all samples, the spatial one only over the
-        selected slices, and the result equals ``to_physical()[keep]``."""
+    def to_physical(self) -> np.ndarray:
+        """Physical samples ``u[it, iy, ix]``."""
         spatial = np.fft.fft(self.data, axis=0, norm="ortho")
-        if keep is not None:
-            spatial = spatial[keep]
         return np.fft.ifft2(spatial, axes=(1, 2), norm="ortho")
 
     def slices(self) -> tuple[Field, ...]:
@@ -143,17 +155,15 @@ def random_modulation_shell(
     j: int,
     seed,
     params: DispersionParams,
-    weight: np.ndarray | None = None,
+    weight: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> SpaceTimeField:
-    """Random coefficients weighted by the j-th dyadic modulation shell; a
-    precomputed ``weight`` is that shell's eta_j(tau - omega)."""
-    if weight is None:
-        weight = _shell_weight(grid, nt, float(t_window), params, j)
+    """Random coefficients weighted by the j-th dyadic modulation shell, drawn
+    only on its support: real then imaginary normals of the block's shape.  A
+    precomputed ``weight`` is that shell's ``_shell_weight`` pair."""
+    columns, block = _shell_weight(grid, nt, float(t_window), params, j) if weight is None else weight
     rng = np.random.default_rng(seed)
-    shape = (nt, grid.ny, grid.nx)
-    coeffs = (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) * weight
-    coeffs[:, :, 0] = 0.0
-    return SpaceTimeField(grid, nt, float(t_window), coeffs)
+    coeffs = (rng.standard_normal(block.shape) + 1j * rng.standard_normal(block.shape)) * block
+    return SpaceTimeField(grid, nt, float(t_window), _on_columns(coeffs, columns, grid.nx))
 
 
 def bourgain_norm(u: SpaceTimeField, spec: NormSpec, params: DispersionParams) -> float:
@@ -174,27 +184,24 @@ def modulation_project(
     j: int,
     params: DispersionParams,
     variant: str = "modulus",
-    weight: np.ndarray | None = None,
+    weight: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> SpaceTimeField:
     """Multiply the spectrum by the dyadic shell eta_j(tau - omega).
 
     ``variant="modulus"`` discards coefficient phases before weighting (the
     form the shell estimates are stated for); ``variant="keep_phase"`` is the
-    plain projection.  A precomputed ``weight`` is eta_j(tau - omega).
+    plain projection.  A precomputed ``weight`` is as for
+    ``random_modulation_shell``; only its columns are weighted, the rest of
+    the returned lattice is zero.
     """
     if variant not in ("modulus", "keep_phase"):
         raise ValueError(f"variant must be 'modulus' or 'keep_phase', got {variant!r}")
     require_zero_x_mean(u, "modulation projection")
-    if weight is None:
-        weight = _shell_weight(u.grid, u.nt, u.t_window, params, j)
-    if variant == "modulus":
-        # widen after the float product: same bits as weighting a complex
-        # |u| (its imaginary parts are +0), without the complex temporary
-        coeffs = (weight * np.abs(u.data)).astype(np.complex128)
-    else:
-        coeffs = weight * u.data
-    coeffs[:, :, 0] = 0.0
-    return SpaceTimeField(u.grid, u.nt, u.t_window, coeffs)
+    columns, block = _shell_weight(u.grid, u.nt, u.t_window, params, j) if weight is None else weight
+    part = u.data[:, :, columns]
+    # a modulus product stays real until the scatter widens it (imaginary parts +0)
+    coeffs = block * (np.abs(part) if variant == "modulus" else part)
+    return SpaceTimeField(u.grid, u.nt, u.t_window, _on_columns(coeffs, columns, u.grid.nx))
 
 
 def _restriction_mask(u: SpaceTimeField, T: float) -> np.ndarray:
@@ -211,7 +218,7 @@ def strichartz_ratio(
     T: float,
     params: DispersionParams,
     variant: str = "modulus",
-    weight: np.ndarray | None = None,
+    weight: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> float:
     """Mixed-norm smoothing ratio of the j-th modulation shell of ``u``:
 
@@ -228,19 +235,19 @@ def strichartz_ratio(
     if T >= 0.5 * u.t_window:
         raise ValueError("restriction window [-T, T] exceeds the periodic time window")
 
+    if weight is None:
+        weight = _shell_weight(u.grid, u.nt, u.t_window, params, j)
     fj = modulation_project(u, j, params, variant=variant, weight=weight)
     l2 = fj.l2_norm() * np.sqrt(fj.cell_volume)
     if l2 == 0.0:
         raise UndefinedRatioError(f"modulation shell j={j} of the field is empty")
-
-    exponent = 0.5 - 1.0 / r
-    smoothing = np.abs(u.grid.xi_mesh) ** exponent
-    # rebinding fj releases the unweighted shell before the transforms run
-    fj = SpaceTimeField(u.grid, u.nt, u.t_window, fj.data * smoothing[None, :, :])
     keep = _restriction_mask(u, T)
     if not np.any(keep):
         raise UndefinedRatioError("no time samples fall inside [-T, T]")
-    magnitudes = np.abs(fj.to_physical(keep))
+
+    columns = weight[0]  # fj is zero off them: smooth and time-transform only these
+    smoothing = np.abs(u.grid.xi[columns]) ** (0.5 - 1.0 / r)
+    magnitudes = np.abs(_kept_slices(fj.data[:, :, columns] * smoothing, columns, u.grid.nx, keep))
     area = u.grid.cell_area
     inner = (np.sum(magnitudes**r, axis=(1, 2)) * area) ** (1.0 / r)
     if r == 2:

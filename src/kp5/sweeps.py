@@ -150,17 +150,16 @@ def strichartz_suite(
     master = np.random.SeedSequence(seed)
     children = master.spawn(len(j_values) * samples)
 
-    def shell(i: int, j: int) -> list[float]:
-        # one pool task per shell: its weight is computed once, dropped with the task
-        weight = _shell_weight(grid, size, 2.0 * np.pi, params, j)
-        block = []
-        for k in range(samples):
-            u = random_modulation_shell(grid, size, 2.0 * np.pi, j, children[i * samples + k], params, weight)
-            block.append(strichartz_ratio(u, j, r=r, T=T, params=params, weight=weight))
-        return block
+    def sample(n: int) -> float:
+        i = n // samples
+        u = random_modulation_shell(grid, size, 2.0 * np.pi, j_values[i], children[n], params, weights[i])
+        return strichartz_ratio(u, j_values[i], r=r, T=T, params=params, weight=weights[i])
 
+    # each shell's compact weight once, then one pool task per sample
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        blocks = list(pool.map(shell, range(len(j_values)), j_values))
+        weights = list(pool.map(lambda j: _shell_weight(grid, size, 2.0 * np.pi, params, j), j_values))
+        ratios = list(pool.map(sample, range(len(children))))
+    blocks = [ratios[i * samples : (i + 1) * samples] for i in range(len(j_values))]
 
     rows = []
     max_log2 = []
@@ -168,7 +167,6 @@ def strichartz_suite(
         for k, value in enumerate(block):
             rows.append({"j": j, "r": r, "sample": k, "ratio": value})
         max_log2.append(np.log2(max(block)))
-    ratios = np.concatenate(blocks)
     slope = float(np.polyfit(np.asarray(j_values, dtype=float), np.asarray(max_log2), 1)[0])
     finite = bool(np.all(np.isfinite(ratios)))
     return SuiteReport(

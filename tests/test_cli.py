@@ -76,19 +76,58 @@ def test_simulate_determinism_byte_identical(tmp_path):
     assert _tree_bytes(out1) == _tree_bytes(out2)
 
 
-def test_simulate_blowup_exit_code(tmp_path):
+_CFL_WARNING = (
+    "time step exceeds the advection heuristic dt <= 1/(max|u| max|xi|); "
+    "the explicit nonlinear substep may be unstable"
+)
+
+
+def test_simulate_blowup_exit_code(tmp_path, capsys):
     cfg = _write_config(
         tmp_path / "cfg.json",
         solver={"dt": 0.05, "t_final": 2.0},
         initial_data={"kind": "mode_sum", "modes": [[1, 0, 80.0, 0.0], [2, 1, 60.0, 0.3]]},
     )
     out = tmp_path / "blow"
-    with pytest.warns(RuntimeWarning):
-        rc = main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"])
+    rc = main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"])
     assert rc == 3
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["status"] == "blowup"
+    assert manifest["warnings"] == [_CFL_WARNING]
+    assert capsys.readouterr().err == f"warning: {_CFL_WARNING}\n"
     assert (out / "diagnostics.csv").exists()
+
+
+@pytest.mark.parametrize("t_final, status, code", [(2.0, "blowup", 3), (0.05, "ok", 0)])
+def test_the_advection_warning_is_one_stable_line_and_recorded(tmp_path, t_final, status, code):
+    """A step over the advection heuristic prints one ``warning:`` line that
+    cites no source location, and the manifest records it, blow-up or not,
+    even where the interpreter turns warnings into errors."""
+    cfg = _write_config(
+        tmp_path / "cfg.json",
+        solver={"dt": 0.05, "t_final": t_final},
+        initial_data={"kind": "mode_sum", "modes": [[1, 0, 400.0, 0.0], [2, 1, 300.0, 0.3]]},
+    )
+    out = tmp_path / "run"
+    argv = [sys.executable, "-W", "error", "-m", "kp5.cli"]
+    argv += ["simulate", "--config", str(cfg), "--out", str(out)]
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).parents[1] / "src")}
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == code
+    assert proc.stderr.splitlines()[0] == f"warning: {_CFL_WARNING}"
+    assert sum(line.startswith("warning:") for line in proc.stderr.splitlines()) == 1
+    assert "cli.py" not in proc.stderr and "evolve(" not in proc.stderr
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["status"] == status
+    assert manifest["warnings"] == [_CFL_WARNING]
+
+
+def test_a_simulate_run_within_the_heuristic_records_no_warnings(tmp_path, capsys):
+    cfg = _write_config(tmp_path / "cfg.json")
+    out = tmp_path / "calm"
+    assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+    assert json.loads((out / "manifest.json").read_text())["warnings"] == []
+    assert capsys.readouterr().err == ""
 
 
 def test_simulate_config_error_exit_code(tmp_path):

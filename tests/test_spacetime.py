@@ -229,12 +229,82 @@ def test_random_shell_determinism(grid16, kp1):
 
 
 def test_shell_weight_is_exact(grid16, kp1):
+    """The compact pair is the full-lattice weight off xi = 0, bit for bit, and
+    every column it drops is zero there."""
     from kp5.cutoffs import dyadic_eta
     from kp5.spacetime import _shell_weight, _sigma_lattice
 
-    weight = _shell_weight(grid16, NT, TW, kp1, 3)
-    fresh = dyadic_eta(3, _sigma_lattice(grid16, NT, TW, kp1))
-    assert weight.tobytes() == fresh.tobytes()
+    for j in (0, 3, 5, 40):
+        columns, block = _shell_weight(grid16, NT, TW, kp1, j)
+        fresh = dyadic_eta(j, _sigma_lattice(grid16, NT, TW, kp1))
+        assert 0 not in columns
+        assert block.shape == (NT, grid16.ny, len(columns))
+        scattered = np.zeros_like(fresh)
+        scattered[:, :, columns] = block
+        assert scattered[:, :, 1:].tobytes() == fresh[:, :, 1:].tobytes()
+        dropped = np.setdiff1d(np.arange(1, grid16.nx), columns)
+        assert not np.any(fresh[:, :, dropped])
+        assert np.all(np.any(block != 0.0, axis=(0, 1)))
+        assert (len(columns) == 0) == (j == 40)
+
+
+@pytest.mark.parametrize("j", [0, 3, 5])
+def test_shells_draw_normals_only_on_their_support(grid16, kp1, j):
+    """Sampling convention: real parts, then imaginary parts, of an
+    (nt, ny, len(columns)) normal block, times the compact weight."""
+    from kp5.spacetime import _shell_weight
+
+    columns, block = _shell_weight(grid16, NT, TW, kp1, j)
+    rng = np.random.default_rng(42)
+    real = rng.standard_normal((NT, grid16.ny, len(columns)))
+    imag = rng.standard_normal((NT, grid16.ny, len(columns)))
+    expected = np.zeros((NT, grid16.ny, grid16.nx), dtype=complex)
+    expected[:, :, columns] = (real + 1j * imag) * block
+    got = random_modulation_shell(grid16, NT, TW, j, 42, kp1)
+    assert got.data.tobytes() == expected.tobytes()
+
+
+def _full_lattice_ratio(u, j, r, T, params, variant):
+    """strichartz_ratio on the whole lattice: full projection, smoothing,
+    to_physical()[keep] and the mixed norm."""
+    from kp5.cutoffs import dyadic_eta
+    from kp5.spacetime import _restriction_mask, _sigma_lattice
+
+    weight = dyadic_eta(j, _sigma_lattice(u.grid, u.nt, u.t_window, params))
+    coeffs = (weight * np.abs(u.data)).astype(complex) if variant == "modulus" else weight * u.data
+    coeffs[:, :, 0] = 0.0
+    assert np.array_equal(coeffs, modulation_project(u, j, params, variant=variant).data)
+    l2 = np.linalg.norm(coeffs) * np.sqrt(u.cell_volume)
+    smoothed = SpaceTimeField(u.grid, u.nt, u.t_window, coeffs * np.abs(u.grid.xi_mesh) ** (0.5 - 1.0 / r))
+    magnitudes = np.abs(smoothed.to_physical()[_restriction_mask(u, T)])
+    inner = (np.sum(magnitudes**r, axis=(1, 2)) * u.grid.cell_area) ** (1.0 / r)
+    if r == 2:
+        mixed = float(np.max(inner))
+    else:
+        q = 2.0 * r / (r - 2.0)
+        mixed = float((np.sum(inner**q) * (u.t_window / u.nt)) ** (1.0 / q))
+    return mixed / (2.0 ** (0.5 * j) * l2)
+
+
+@pytest.mark.parametrize("variant", ["modulus", "keep_phase"])
+@pytest.mark.parametrize("j", [0, 3, 5])
+def test_support_ratio_matches_the_full_lattice_bit_for_bit(grid16, kp1, j, variant):
+    st = _zero_mean_spectral(grid16, np.random.default_rng(6))
+    for r in (2.0, 4.0, 6.0):
+        got = strichartz_ratio(st, j, r=r, T=0.5, params=kp1, variant=variant)
+        expected = _full_lattice_ratio(st, j, r, 0.5, kp1, variant)
+        assert np.float64(got).tobytes() == np.float64(expected).tobytes()
+
+
+def test_an_empty_shell_support_leaves_the_ratio_undefined(grid16, kp1):
+    from kp5.spacetime import _shell_weight
+
+    columns, _ = _shell_weight(grid16, NT, TW, kp1, 40)
+    assert len(columns) == 0
+    assert random_modulation_shell(grid16, NT, TW, 40, 7, kp1).l2_norm() == 0.0
+    st = _zero_mean_spectral(grid16, np.random.default_rng(6))
+    with pytest.raises(UndefinedRatioError):
+        strichartz_ratio(st, 40, r=4.0, T=0.5, params=kp1)
 
 
 @pytest.mark.parametrize("j", [0, 3])

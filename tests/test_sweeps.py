@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 import kp5.spacetime
@@ -51,8 +53,15 @@ def test_suite_reports_are_seed_deterministic():
 
 
 def test_strichartz_worker_count_invariance():
-    serial = strichartz_suite(5, 2, j_values=(0, 3), size=16, threads=1)
-    threaded = strichartz_suite(5, 2, j_values=(0, 3), size=16, threads=4)
+    """Per-sample tasks share the compact shell weights read-only: four workers
+    switching threads every microsecond give the serial rows."""
+    serial = strichartz_suite(5, 3, j_values=(0, 3, 5), size=16, threads=1)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threaded = strichartz_suite(5, 3, j_values=(0, 3, 5), size=16, threads=4)
+    finally:
+        sys.setswitchinterval(interval)
     assert serial.rows == threaded.rows
     assert serial.summary == threaded.summary
 
