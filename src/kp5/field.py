@@ -31,26 +31,47 @@ def _take(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _mirror(src: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write conj(src) into ``out`` with the row axis reflected (row i takes row -i mod ny).
+    Callers reflect the columns by the view of ``src`` they pass."""
+    np.conjugate(src[..., :1, :], out=out[..., :1, :])
+    np.conjugate(src[..., :0:-1, :], out=out[..., 1:, :])
+    return out
+
+
 def hermitian_reflect(data: np.ndarray) -> np.ndarray:
     """conj(data) sampled at (-k, -l); equals data itself for real fields."""
-    return np.conj(np.roll(data[::-1, ::-1], shift=(1, 1), axis=(0, 1)))
+    out = np.empty_like(data)
+    _mirror(data[..., :1], out[..., :1])
+    _mirror(data[..., :0:-1], out[..., 1:])
+    return out
 
 
 def hermitian_complete(half: np.ndarray, nx: int) -> np.ndarray:
-    """Full ``(ny, nx)`` spectrum of a real field from its first ``nx//2 + 1`` columns: the
+    """Full ``(..., ny, nx)`` spectrum of a real field from its first ``nx//2 + 1`` columns: the
     xi = 0 and Nyquist columns are kept as stored, the others gain their Hermitian mirrors."""
-    mirror = np.conj(np.roll(half[::-1, nx // 2 - 1 : 0 : -1], 1, axis=0))
-    return np.concatenate([half, mirror], axis=1)
+    out = np.empty(half.shape[:-1] + (nx,), dtype=half.dtype)
+    out[..., : nx // 2 + 1] = half
+    _mirror(half[..., nx // 2 - 1 : 0 : -1], out[..., nx // 2 + 1 :])
+    return out
+
+
+def _defect(data: np.ndarray) -> float:
+    """max |c(k,l) - conj(c(-k,-l))|, read on columns 0..nx//2 only: every other
+    column is the mirror of one of these and carries the same values."""
+    half = data.shape[-1] // 2 + 1
+    diff = np.empty(data.shape[:-1] + (half,), dtype=np.complex128)
+    _mirror(data[..., :1], diff[..., :1])
+    _mirror(data[..., :0:-1][..., : half - 1], diff[..., 1:])
+    diff -= data[..., :half]
+    return float(np.max(np.abs(diff)))
 
 
 def is_hermitian(data: np.ndarray) -> bool:
     """True when ``data`` matches its Hermitian reflection to 1e-12 of its peak
     magnitude, i.e. when it holds the spectrum of a real field."""
     scale = float(np.max(np.abs(data))) if data.size else 0.0
-    if scale == 0.0:
-        return True
-    defect = float(np.max(np.abs(data - hermitian_reflect(data))))
-    return defect <= _HERMITIAN_TOL * scale
+    return scale == 0.0 or _defect(data) <= _HERMITIAN_TOL * scale
 
 
 class _Spectrum:
@@ -95,9 +116,12 @@ class Field(_Spectrum):
         samples = np.asarray(samples)
         if samples.shape != grid.shape:
             raise ValueError(f"sample shape {samples.shape} != grid shape {grid.shape}")
-        reality = not np.iscomplexobj(samples)
-        coeffs = np.fft.fft2(samples.astype(np.complex128), norm="ortho")
-        return cls(grid, coeffs, reality=reality)
+        if np.iscomplexobj(samples):
+            return cls(grid, np.fft.fft2(samples.astype(np.complex128), norm="ortho"), reality=False)
+        half = np.fft.rfft2(samples.astype(np.float64, copy=False), norm="ortho")
+        edges = half[:, :: grid.nx // 2]  # xi = 0 and Nyquist: Hermitian to rounding, made exactly so
+        edges[...] = 0.5 * (edges + _mirror(edges, np.empty_like(edges)))
+        return cls(grid, hermitian_complete(half, grid.nx), reality=True)
 
     @classmethod
     def from_spectral(
@@ -120,12 +144,13 @@ class Field(_Spectrum):
 
     def to_physical(self) -> np.ndarray:
         """Physical samples; real-valued array when the reality flag is set."""
-        phys = np.fft.ifft2(self.data, norm="ortho")
-        return phys.real if self.reality else phys
+        if self.reality:
+            return np.fft.irfft2(self.data[:, : self.grid.nx // 2 + 1], s=self.grid.shape, norm="ortho")
+        return np.fft.ifft2(self.data, norm="ortho")
 
     def reality_defect(self) -> float:
         """Max |c(k,l) - conj(c(-k,-l))| over the lattice."""
-        return float(np.max(np.abs(self.data - hermitian_reflect(self.data))))
+        return _defect(self.data)
 
     # -- norms and reductions --------------------------------------------------
 

@@ -49,12 +49,11 @@ def _evaluate_multiplier(grid: SpectralGrid, m: Callable) -> np.ndarray:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         raw = np.asarray(m(grid.xi_mesh, grid.mu_mesh), dtype=np.complex128)
     try:
-        values = np.array(np.broadcast_to(raw, grid.shape), copy=True)
+        return np.broadcast_to(raw, grid.shape)
     except ValueError:
         raise SymbolEvaluationError(
             f"multiplier returned shape {raw.shape}, expected broadcastable to {grid.shape}"
         ) from None
-    return values
 
 
 def apply_symbol(f: Field, m: Callable, params: DispersionParams | None = None) -> Field:
@@ -75,6 +74,7 @@ def apply_symbol(f: Field, m: Callable, params: DispersionParams | None = None) 
         # singular only on the xi = 0 line: resolve by zero-mode policy
         if policy is ZeroModePolicy.ERROR:
             require_zero_x_mean(f, "singular multiplier under the error policy", SingularSymbolError)
+        values = values.copy()
         values[:, 0][bad[:, 0]] = 0.0
 
     out = f.data * values
@@ -105,11 +105,12 @@ def dealias(f: Field) -> Field:
     return Field(f.grid, np.where(f.grid.dealias_mask, f.data, 0.0 + 0.0j), f.reality)
 
 
+# xi-only multipliers are evaluated on one lattice row, which apply_symbol broadcasts
 def x_derivative(f: Field, params: DispersionParams | None = None) -> Field:
     """Spectral d/dx (multiplier i*xi)."""
-    return apply_symbol(f, lambda xi, mu: 1j * xi, params)
+    return apply_symbol(f, lambda xi, mu: 1j * xi[:1], params)
 
 
 def x_antiderivative(f: Field, params: DispersionParams | None = None) -> Field:
     """Spectral inverse of d/dx (multiplier 1/(i*xi)); xi = 0 resolved by policy."""
-    return apply_symbol(f, lambda xi, mu: 1.0 / (1j * xi), params)
+    return apply_symbol(f, lambda xi, mu: 1.0 / (1j * xi[:1]), params)

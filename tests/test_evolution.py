@@ -10,6 +10,7 @@ from kp5 import (
     SolverConfig,
     Trajectory,
     ZeroModePolicy,
+    dealias,
     dispersion_omega,
     evolve,
     linear_propagate,
@@ -21,6 +22,7 @@ from kp5 import (
     residual_check,
     sobolev_aniso_norm,
     step_splitstep,
+    x_derivative,
     zero_mode_project,
 )
 from kp5.errors import BlowUpError, SingularSymbolError
@@ -143,6 +145,21 @@ def test_nonlinear_rhs_single_mode_harmonics(grid16):
     # xi = 0 line (including the would-be zero mode) is gone
     assert nonzero == {(2, 2)}
     assert np.all(out.data[:, 0] == 0.0)
+
+
+@pytest.mark.parametrize("n", [16, 128])
+@pytest.mark.parametrize("seed", range(3))
+def test_nonlinear_rhs_folds_the_half_into_the_square_exactly(n, seed):
+    grid = make_grid(n, n, 2 * np.pi, 2 * np.pi)
+    f = dealias(_random_zero_mean(grid, seed))
+    u = f.to_physical()
+    composed = x_derivative(dealias(Field.from_physical(grid, u**2))) * 0.5
+    out = nonlinear_rhs(f)
+    assert out.reality == composed.reality
+    # halving is exact, so every coefficient matches; only the sign of a zero may
+    # differ (the trailing complex product sends some -0.0 to +0.0), and adding
+    # +0.0 maps both signs to +0.0
+    assert (out.data + 0.0).tobytes() == (composed.data + 0.0).tobytes()
 
 
 def test_nonlinear_rhs_cosine_closed_form(grid32):

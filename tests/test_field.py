@@ -1,0 +1,56 @@
+"""Field transforms: reality-flagged fields go through the real half spectrum,
+complex ones through the full complex transforms."""
+
+import numpy as np
+import pytest
+
+from kp5 import Field, make_grid
+from kp5.field import hermitian_reflect
+
+shapes = [(4, 4), (6, 8), (10, 16), (34, 36), (64, 64), (128, 64), (128, 128)]
+
+
+def _hermitian(rng, shape):
+    raw = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return 0.5 * (raw + hermitian_reflect(raw))
+
+
+@pytest.mark.parametrize("ny, nx", shapes)
+@pytest.mark.parametrize("seed", range(3))
+def test_real_samples_give_an_exactly_hermitian_spectrum_and_round_trip(ny, nx, seed):
+    grid = make_grid(nx, ny, 3.0, 5.0)
+    samples = np.random.default_rng(seed).standard_normal(grid.shape)
+    f = Field.from_physical(grid, samples)
+    assert f.reality
+    assert f.reality_defect() == 0.0
+    back = f.to_physical()
+    assert back.dtype == np.float64
+    assert np.max(np.abs(back - samples)) <= 1e-15 * np.max(np.abs(samples))
+
+
+@pytest.mark.parametrize("ny, nx", shapes)
+@pytest.mark.parametrize("defect", [0.0, 1e-13])
+def test_reality_flagged_fields_invert_like_the_real_part_of_ifft2(ny, nx, defect):
+    grid = make_grid(nx, ny, 1.0, 1.0)
+    rng = np.random.default_rng(nx * ny)
+    data = _hermitian(rng, grid.shape)
+    # a raw-constructed field keeps its flag even with a Hermitian defect below the
+    # 1e-12 tolerance of is_hermitian
+    scale = float(np.max(np.abs(data)))
+    data += defect * scale * np.exp(2j * np.pi * rng.random(grid.shape))
+    f = Field(grid, data.copy(), reality=True)
+    assert (f.reality_defect() > 0.0) == (defect > 0.0)
+    assert f.reality_defect() <= 3.0 * defect * scale
+    reference = np.fft.ifft2(data, norm="ortho").real
+    assert np.max(np.abs(f.to_physical() - reference)) <= 1e-12 * np.max(np.abs(data))
+
+
+@pytest.mark.parametrize("ny, nx", shapes)
+def test_complex_samples_keep_the_full_complex_transforms(ny, nx):
+    grid = make_grid(nx, ny, 1.0, 1.0)
+    rng = np.random.default_rng(nx + ny)
+    samples = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
+    f = Field.from_physical(grid, samples)
+    assert not f.reality
+    assert f.data.tobytes() == np.fft.fft2(samples, norm="ortho").tobytes()
+    assert f.to_physical().tobytes() == np.fft.ifft2(f.data, norm="ortho").tobytes()

@@ -24,7 +24,7 @@ from kp5 import (
 )
 from kp5.errors import ZeroMassViolationError
 from kp5.evolution import linear_propagate
-from kp5.field import hermitian_complete, hermitian_reflect
+from kp5.field import hermitian_complete, hermitian_reflect, is_hermitian
 from kp5.symbols import _ZERO_LINE_TOL, require_zero_x_mean, zero_mode_project
 
 sizes = st.sampled_from([4, 6, 8, 16])
@@ -75,6 +75,56 @@ def test_hermitian_complete_rebuilds_real_spectra_from_the_half_spectrum(nx, ny,
     full = np.fft.fft2(samples)
     rebuilt = hermitian_complete(np.fft.rfft2(samples), nx)
     assert np.max(np.abs(rebuilt - full)) <= 1e-15 * np.max(np.abs(full))
+
+
+def _roll_complete(half, nx):
+    """Reference completion by concatenation and ``np.roll``, one 2-D half spectrum."""
+    mirror = np.conj(np.roll(half[::-1, nx // 2 - 1 : 0 : -1], 1, axis=0))
+    return np.concatenate([half, mirror], axis=1)
+
+
+def _roll_reflect(data):
+    return np.conj(np.roll(data[::-1, ::-1], shift=(1, 1), axis=(0, 1)))
+
+
+@given(nx=even_sizes, ny=even_sizes, nodes=st.integers(min_value=1, max_value=5), seed=seeds)
+def test_hermitian_complete_matches_the_roll_formula_bit_for_bit(nx, ny, nodes, seed):
+    # arbitrary half spectra, not only Hermitian ones, and a (nodes, ny, nx//2+1)
+    # stack shaped like the Picard node array
+    batch = _complex(np.random.default_rng(seed), (nodes, ny, nx // 2 + 1))
+    assert hermitian_complete(batch[0], nx).tobytes() == _roll_complete(batch[0], nx).tobytes()
+    reference = np.stack([_roll_complete(half, nx) for half in batch])
+    assert hermitian_complete(batch, nx).tobytes() == reference.tobytes()
+
+
+@given(nx=even_sizes, ny=even_sizes, seed=seeds)
+def test_hermitian_reflect_matches_the_roll_formula_bit_for_bit(nx, ny, seed):
+    data = _complex(np.random.default_rng(seed), (ny, nx))
+    assert hermitian_reflect(data).tobytes() == _roll_reflect(data).tobytes()
+
+
+@given(
+    nx=even_sizes,
+    ny=even_sizes,
+    seed=seeds,
+    place=st.sampled_from(["xi_zero_column", "nyquist_column", "nyquist_row", "interior"]),
+    exponent=st.floats(min_value=-14.0, max_value=-10.0),
+)
+def test_is_hermitian_reads_half_the_lattice_for_the_full_lattice_verdict(nx, ny, seed, place, exponent):
+    rng = np.random.default_rng(seed)
+    raw = _complex(rng, (ny, nx))
+    data = 0.5 * (raw + hermitian_reflect(raw))
+    iy, ix = (int(v) for v in rng.integers(1, (ny, nx)))
+    iy, ix = {
+        "xi_zero_column": (iy, 0),
+        "nyquist_column": (iy, nx // 2),
+        "nyquist_row": (ny // 2, ix),
+        "interior": (iy, ix),
+    }[place]
+    data[iy, ix] += 10.0**exponent * np.max(np.abs(data)) * np.exp(2j * np.pi * rng.random())
+    full_defect = float(np.max(np.abs(data - _roll_reflect(data))))
+    assert Field(make_grid(nx, ny, 1.0, 1.0), data.copy(), reality=False).reality_defect() == full_defect
+    assert is_hermitian(data) == (full_defect <= 1e-12 * float(np.max(np.abs(data))))
 
 
 @given(
