@@ -73,17 +73,37 @@ def resonance(xi1, xi2, mu1, mu2, params: DispersionParams):
     return float(out) if scalar else out
 
 
+_CHUNK = 8192  # samples per extended-precision block of the identity check
+
+
+def _omega_extended(x, m, sign: float, alpha: float):
+    """dispersion_omega's formula on nonzero np.longdouble x, by products (no powl)."""
+    x3 = x * x * x
+    return sign * (x3 * x * x) - alpha * x3 + m * m / x
+
+
 def resonance_identity_check(xi1, xi2, mu1, mu2, params: DispersionParams):
     """Relative defect between the closed form and the symbol identity:
-    |R_closed - (omega(sum) - omega_1 - omega_2)| / max(1, |R_closed|)."""
+    |R_closed - (omega(sum) - omega_1 - omega_2)| / max(1, |R_closed|).
+
+    The identity side cancels, so it and its difference from R_closed are taken
+    in np.longdouble (float64 where longdouble is), _CHUNK samples at a time."""
     closed = resonance(xi1, xi2, mu1, mu2, params)
-    via_omega = (
-        dispersion_omega(np.asarray(xi1) + np.asarray(xi2), np.asarray(mu1) + np.asarray(mu2), params)
-        - dispersion_omega(xi1, mu1, params)
-        - dispersion_omega(xi2, mu2, params)
-    )
-    defect = np.abs(closed - via_omega) / np.maximum(1.0, np.abs(closed))
-    return float(defect) if np.ndim(defect) == 0 else defect
+    args = np.broadcast_arrays(*(np.asarray(v, dtype=float) for v in (xi1, xi2, mu1, mu2, closed)))
+    x1, x2, m1, m2, r = (np.ravel(v) for v in args)
+    defect = np.empty(r.shape)
+    for lo in range(0, r.size, _CHUNK):
+        a1, a2, b1, b2 = (v[lo : lo + _CHUNK].astype(np.longdouble) for v in (x1, x2, m1, m2))
+        c = r[lo : lo + _CHUNK]
+        s = a1 + a2
+        if s.all():
+            ref = _omega_extended(s, b1 + b2, params.sign, params.alpha)
+        else:  # resonance admits xi1 + xi2 = 0 only as a scalar with mu1 + mu2 = 0
+            ref = np.full_like(s, dispersion_omega(0.0, 0.0, params))  # 0, or the error policy raises
+        ref -= _omega_extended(a1, b1, params.sign, params.alpha)
+        ref -= _omega_extended(a2, b2, params.sign, params.alpha)
+        defect[lo : lo + _CHUNK] = np.abs((c - ref).astype(float)) / np.maximum(1.0, np.abs(c))
+    return float(defect[0]) if args[4].ndim == 0 else defect.reshape(args[4].shape)
 
 
 def kp2_lower_bound_ratio(xi1, xi2, mu1, mu2, alpha: float = 0.0):

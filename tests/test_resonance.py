@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -11,7 +13,9 @@ from kp5 import (
     resonance,
     resonance_identity_check,
 )
-from kp5.errors import SingularFrequencyError
+from kp5.dispersion import ZeroModePolicy
+from kp5.errors import SingularFrequencyError, SingularSymbolError
+from kp5.resonance import _CHUNK, _omega_extended
 
 
 def _sample(rng, n):
@@ -108,6 +112,51 @@ def test_identity_over_continuous_alpha(sign):
 
 def test_identity_example(kp1):
     assert resonance_identity_check(1.0, 1.0, 0.0, 0.0, kp1) <= 1e-12
+
+
+@pytest.mark.parametrize("sign", [KPSign.KP1, KPSign.KP2])
+@pytest.mark.parametrize("alpha", [-1.0, 0.0, 1.0])
+def test_extended_symbol_matches_dispersion_omega(sign, alpha):
+    """The identity check's longdouble copy of the symbol is the same formula."""
+    params = DispersionParams(kp_sign=sign, alpha=alpha)
+    rng = np.random.default_rng([11, int(alpha) + 1])
+    xi, _, mu, _ = _sample(rng, 5_000)
+    ext = _omega_extended(xi.astype(np.longdouble), mu.astype(np.longdouble), params.sign, params.alpha)
+    largest = np.maximum(np.maximum(np.abs(xi) ** 5, abs(alpha) * np.abs(xi) ** 3), mu * mu / np.abs(xi))
+    assert ext.dtype == np.longdouble
+    assert np.all(np.abs(ext.astype(float) - dispersion_omega(xi, mu, params)) <= 1e-15 * largest)
+
+
+def test_identity_check_at_the_degenerate_scalar(kp1):
+    # xi1 + xi2 = 0 with mu1 + mu2 = 0: omega(0, 0) = 0, with no 0/0 on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for mu in (0.5, 2.0):
+            assert resonance_identity_check(1.0, -1.0, mu, -mu, kp1) == 0.0
+    # under the error policy omega(0, 0) is singular, as in dispersion_omega
+    strict = DispersionParams(zero_mode=ZeroModePolicy.ERROR)
+    with pytest.raises(SingularSymbolError):
+        resonance_identity_check(1.0, -1.0, 0.5, -0.5, strict)
+
+
+@pytest.mark.parametrize("n", [_CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 1])
+def test_identity_check_blocks_match_one_unblocked_evaluation(n):
+    params = DispersionParams(kp_sign=KPSign.KP2, alpha=1.0)
+    xi1, xi2, mu1, mu2 = _sample(np.random.default_rng(n), n)
+    closed = resonance(xi1, xi2, mu1, mu2, params)
+    a1, a2, b1, b2 = (v.astype(np.longdouble) for v in (xi1, xi2, mu1, mu2))
+    ref = (
+        _omega_extended(a1 + a2, b1 + b2, params.sign, params.alpha)
+        - _omega_extended(a1, b1, params.sign, params.alpha)
+        - _omega_extended(a2, b2, params.sign, params.alpha)
+    )
+    expected = np.abs((closed - ref).astype(float)) / np.maximum(1.0, np.abs(closed))
+    got = resonance_identity_check(xi1, xi2, mu1, mu2, params)
+    assert got.dtype == np.float64
+    assert np.array_equal(got, expected)
+    # blocks are taken over the flattened samples; the shape comes back
+    shaped = resonance_identity_check(*(v[: n - n % 3].reshape(3, -1) for v in (xi1, xi2, mu1, mu2)), params)
+    assert np.array_equal(shaped, expected[: n - n % 3].reshape(3, -1))
 
 
 def test_kp2_ratio_example():

@@ -1,11 +1,15 @@
 import sys
 
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import kp5.spacetime
-from kp5.cutoffs import dyadic_eta
+import kp5.sweeps
+from kp5.cutoffs import cutoff_psi, dyadic_eta
 from kp5.errors import ConfigError
-from kp5.sweeps import SUITES, run_suite, strichartz_suite, thread_budget
+from kp5.sweeps import SUITES, SuiteReport, dyadic_suite, run_suite, strichartz_suite, thread_budget
 
 
 def test_unknown_suite_rejected():
@@ -42,6 +46,63 @@ def test_dyadic_suite_small():
     report = run_suite("dyadic", 123, 10_000)
     assert report.passed
     assert report.summary["max_defect"] <= 1e-15
+
+
+@pytest.mark.skipif(
+    np.finfo(np.longdouble).nmant == 52, reason="the identity reference needs an extended longdouble"
+)
+def test_resonance_suite_passes_where_a_float64_reference_cancelled():
+    # a float64 reference read 1.61e-9 here and failed the 1e-9 gate
+    report = run_suite("resonance", 50234)
+    assert report.passed
+    assert report.summary["max_defect"] <= 1e-11
+
+
+def _dyadic_per_shell_loop(seed, samples, j_max):
+    """dyadic_suite as first written: dyadic_eta on every point of every shell."""
+    rng = np.random.default_rng([seed, 0xD7AD1C])
+    n_random = samples // 2
+    exponents = rng.uniform(-10.0, float(j_max + 1), size=n_random)
+    signs = rng.choice([-1.0, 1.0], size=n_random)
+    x = np.concatenate(
+        [
+            signs * (2.0**exponents),
+            np.linspace(-(2.0 ** (j_max + 1)), 2.0 ** (j_max + 1), samples - n_random),
+        ]
+    )
+    total = np.zeros_like(x)
+    for j in range(j_max + 1):
+        total += dyadic_eta(j, x)
+    worst = float(np.max(np.abs(total - cutoff_psi(np.ldexp(x, -j_max)))))
+    return SuiteReport(
+        suite="dyadic",
+        seed=seed,
+        passed=worst <= 1e-15,
+        summary={"max_defect": worst, "threshold": 1e-15, "points": samples, "j_max": j_max},
+        columns=("j_max", "points", "max_defect"),
+        rows=({"j_max": j_max, "points": samples, "max_defect": worst},),
+    )
+
+
+@given(
+    seed=st.integers(0, 2**63 - 1),
+    samples=st.integers(1, 2_000),
+    j_max=st.integers(0, 12),
+)
+def test_dyadic_shared_pass_matches_the_per_shell_loop(seed, samples, j_max):
+    assert dyadic_suite(seed, samples, j_max) == _dyadic_per_shell_loop(seed, samples, j_max)
+
+
+def test_dyadic_suite_checks_dyadic_eta_itself(monkeypatch):
+    # the shared pass never calls dyadic_eta on the full grid, so only the
+    # every-101st-point comparison can see a wrong shell
+    def off_on_shell_3(j, x):
+        return dyadic_eta(j, x) + (1e-12 if j == 3 else 0.0)
+
+    monkeypatch.setattr(kp5.sweeps, "dyadic_eta", off_on_shell_3)
+    report = dyadic_suite(5, 10_000, 8)
+    assert report.passed is False
+    assert report.summary["max_defect"] == pytest.approx(1e-12, rel=1e-3)
 
 
 def test_suite_reports_are_seed_deterministic():
