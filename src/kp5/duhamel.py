@@ -31,6 +31,10 @@ from .symbols import require_zero_x_mean, zero_mode_project
 
 __all__ = ["PicardResult", "duhamel_picard"]
 
+# bytes of one block-sized node array in the Picard loop; small enough that a
+# block's working set stays in cache (7 nodes at 64x64 on the half spectrum)
+_BLOCK_BYTES = 256 * 1024
+
 
 @dataclass(frozen=True)
 class PicardResult:
@@ -60,6 +64,27 @@ def _nonlinear_slices(u: np.ndarray, grid, real: bool) -> np.ndarray:
     out = forward(phys, axes=(1, 2), norm="ortho", overwrite_x=True)
     out *= 0.5j * grid.xi[:cols] * mask
     return out
+
+
+def _trapezoid_prefix(integrand: np.ndarray, h: float, carry, out: np.ndarray):
+    """Trapezoid prefix sums of one block of nodes into ``out``; returns the carry
+    for the next block.  ``carry`` is the previous block's (last prefix, last
+    integrand), or ``None`` at node 0; it enters the block's first element before
+    the ``cumsum``, so every prefix is summed in the whole-array order."""
+    np.add(integrand[1:], integrand[:-1], out=out[1:])
+    if carry is None:
+        out[0] = 0.0
+        body = out[1:]
+    else:
+        np.add(integrand[0], carry[1], out=out[0])
+        body = out
+    body *= 0.5 * h
+    if carry is not None:
+        out[0] += carry[0]
+    np.cumsum(body, axis=0, out=body)
+    # node 0 alone carries the empty sum -0.0, the exact additive identity
+    prefix = out[-1].copy() if len(body) else np.full_like(out[-1], complex(-0.0, -0.0))
+    return prefix, integrand[-1].copy()
 
 
 def duhamel_picard(
@@ -94,45 +119,48 @@ def duhamel_picard(
     # itself and its Hermitian mirror, so it counts twice in the distance
     weights = np.full(cols, 2.0 if real else 1.0)
     weights[[0, -1]] = 1.0
-    phase_fwd = np.exp(-1j * t[:, None, None] * omega_on_grid(grid, params)[None, :, :cols])
+    phase_fwd = -1j * t[:, None, None] * omega_on_grid(grid, params)[None, :, :cols]
+    np.exp(phase_fwd, out=phase_fwd)
     psi = cutoff_psi(t)[:, None, None]
     psi_t = cutoff_psi_T(t, cfg.cutoff_T)[:, None, None]
 
     phi_hat = zero_mode_project(phi).data[:, :cols]
-    free = psi * (phase_fwd * phi_hat)
+    u = np.multiply(phase_fwd, phi_hat)
+    np.multiply(psi, u, out=u)
 
-    # u and new swap roles each round and are updated in place; only the
-    # quadratic term allocates node-sized arrays
-    u = free.copy()
-    new = np.empty_like(u)
+    # each round overwrites u in cache-sized blocks of nodes: a block's quadratic
+    # term reads only its own nodes, and the carry holds what it needs of earlier ones
+    block = max(1, _BLOCK_BYTES // (16 * grid.ny * cols))
+    new = np.empty((block, grid.ny, cols), dtype=np.complex128)
     distances: list[float] = []
     converged = False
     increases = 0
     for _ in range(cfg.picard_max_iters):
+        sums = np.zeros(2 * cols)
+        carry = None
         # overflow during a diverging iteration is expected; it surfaces as a
         # non-finite distance and becomes a contraction failure below
         with np.errstate(over="ignore", invalid="ignore"):
-            # conj(phase_fwd) * N(u), as conj(phase_fwd * conj(N(u))) in place
-            integrand = _nonlinear_slices(u, grid, real)
-            np.conj(integrand, out=integrand)
-            integrand *= phase_fwd
-            np.conj(integrand, out=integrand)
-            # new = free - psi_T * phase_fwd * (trapezoid prefix of integrand)
-            new[0] = 0.0
-            np.add(integrand[1:], integrand[:-1], out=new[1:])
-            del integrand
-            new[1:] *= 0.5 * h
-            np.cumsum(new[1:], axis=0, out=new[1:])
-            new *= phase_fwd
-            new *= psi_t
-            np.subtract(free, new, out=new)
-            # |new - u|^2 summed in place in u, read as (re, im) float pairs
-            sq = np.subtract(new, u, out=u).view(np.float64)
-            np.square(sq, out=sq)
-            sums = sq.reshape(n_nodes, grid.ny, cols, 2).sum(axis=(0, 1, 3))
-            d = float(np.sqrt(h * np.dot(weights, sums)))
+            for start in range(0, n_nodes, block):
+                b = slice(start, min(start + block, n_nodes))
+                # conj(phase_fwd) * N(u), as conj(phase_fwd * conj(N(u))) in place
+                integrand = _nonlinear_slices(u[b], grid, real)
+                np.conj(integrand, out=integrand)
+                integrand *= phase_fwd[b]
+                np.conj(integrand, out=integrand)
+                # new = free - psi_T * phase_fwd * (trapezoid prefix of integrand)
+                nb = new[: len(integrand)]
+                carry = _trapezoid_prefix(integrand, h, carry, out=nb)
+                nb *= phase_fwd[b]
+                nb *= psi_t[b]
+                np.subtract(psi[b] * (phase_fwd[b] * phi_hat), nb, out=nb)
+                # |new - u|^2 summed over nodes and rows, read as (re, im) float pairs
+                sq = np.subtract(nb, u[b], out=integrand).view(np.float64)
+                np.square(sq, out=sq)
+                sums += sq.reshape(-1, 2 * cols).sum(axis=0)
+                u[b] = nb
+            d = float(np.sqrt(h * np.dot(weights, sums[0::2] + sums[1::2])))
         distances.append(d)
-        u, new = new, u
         if d < cfg.picard_tol:
             converged = True
             break
@@ -146,7 +174,7 @@ def duhamel_picard(
             )
         increases = increases + 1 if grew else 0
 
-    del new, free, phase_fwd
+    del new, phase_fwd
     states = tuple(
         Field.from_spectral(grid, hermitian_complete(s, grid.nx) if real else s, reality=real) for s in u
     )

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from kp5 import (
+    DispersionParams,
     Field,
+    KPSign,
     ModeSumData,
     SolverConfig,
     duhamel_picard,
@@ -12,12 +14,105 @@ from kp5 import (
     make_grid,
     make_initial_data,
 )
+from kp5 import duhamel
+from kp5.cutoffs import cutoff_psi, cutoff_psi_T
+from kp5.dispersion import omega_on_grid
 from kp5.errors import ContractionFailureError, ZeroMassViolationError
+from kp5.field import hermitian_complete
+from kp5.symbols import zero_mode_project
 
 
 def _small_data(grid, l2_target=0.009):
     f = make_initial_data(grid, ModeSumData(modes=((1, 0, 1.0, 0.0), (1, 1, 0.5, 0.3))))
     return f * (l2_target / f.l2_norm())
+
+
+def _whole_array_picard(phi, cfg, params):
+    """The iteration with one pass over all nodes per round, each node array
+    updated in place: the unblocked reference for ``duhamel_picard``.  Returns
+    the final half- or full-spectrum iterate, the distances and ``converged``;
+    raises ``ContractionFailureError`` under the same rule."""
+    grid = phi.grid
+    sub = cfg.quadrature_nodes - 1
+    h = cfg.dt / sub
+    n_nodes = cfg.n_steps * sub + 1
+    real = phi.reality
+    cols = grid.nx // 2 + 1 if real else grid.nx
+    t = np.arange(n_nodes) * h
+    weights = np.full(cols, 2.0 if real else 1.0)
+    weights[[0, -1]] = 1.0
+    phase_fwd = np.exp(-1j * t[:, None, None] * omega_on_grid(grid, params)[None, :, :cols])
+    psi = cutoff_psi(t)[:, None, None]
+    psi_t = cutoff_psi_T(t, cfg.cutoff_T)[:, None, None]
+    free = psi * (phase_fwd * zero_mode_project(phi).data[:, :cols])
+    u = free.copy()
+    new = np.empty_like(u)
+    distances = []
+    increases = 0
+    for _ in range(cfg.picard_max_iters):
+        with np.errstate(over="ignore", invalid="ignore"):
+            integrand = duhamel._nonlinear_slices(u, grid, real)
+            np.conj(integrand, out=integrand)
+            integrand *= phase_fwd
+            np.conj(integrand, out=integrand)
+            new[0] = 0.0
+            np.add(integrand[1:], integrand[:-1], out=new[1:])
+            new[1:] *= 0.5 * h
+            np.cumsum(new[1:], axis=0, out=new[1:])
+            new *= phase_fwd
+            new *= psi_t
+            np.subtract(free, new, out=new)
+            sq = np.subtract(new, u, out=u).view(np.float64)
+            np.square(sq, out=sq)
+            sums = sq.reshape(n_nodes, grid.ny, cols, 2).sum(axis=(0, 1, 3))
+            d = float(np.sqrt(h * np.dot(weights, sums)))
+        distances.append(d)
+        u, new = new, u
+        if d < cfg.picard_tol:
+            return u, distances, True
+        grew = len(distances) >= 2 and d > distances[-2]
+        if not np.isfinite(d) or (grew and increases >= 1):
+            raise ContractionFailureError("reference stopped contracting", distances=distances)
+        increases = increases + 1 if grew else 0
+    return u, distances, False
+
+
+@pytest.mark.parametrize("sign", [KPSign.KP1, KPSign.KP2])
+@pytest.mark.parametrize("real", [True, False])
+@pytest.mark.parametrize(
+    ("n_steps", "quadrature_nodes", "nodes_per_block"),
+    [
+        (20, 2, 1),  # 21 nodes, one node per block
+        (20, 2, 2),  # 21 % 2 == 1
+        (21, 2, 2),  # 22 % 2 == 0
+        (20, 2, 7),  # 21 % 7 == 0
+        (21, 2, 7),  # 22 % 7 == 1
+        (19, 2, 7),  # 20 % 7 == 6
+        (10, 3, 7),  # 21 nodes, two per solver step
+        (10, 3, 64),  # one block
+    ],
+)
+def test_blocked_iteration_is_bit_identical_to_whole_array_loop(
+    grid16, monkeypatch, sign, real, n_steps, quadrature_nodes, nodes_per_block
+):
+    phi = _small_data(grid16, l2_target=1.0)
+    if not real:
+        phi = Field(grid16, phi.data, reality=False)
+    params = DispersionParams(kp_sign=sign, alpha=1.0)
+    cfg = SolverConfig(dt=1e-2, t_final=1e-2 * n_steps, picard_tol=1e-13, quadrature_nodes=quadrature_nodes)
+    cols = grid16.nx // 2 + 1 if real else grid16.nx
+    monkeypatch.setattr(duhamel, "_BLOCK_BYTES", nodes_per_block * 16 * grid16.ny * cols)
+    result = duhamel_picard(phi, cfg, params)
+    u, distances, converged = _whole_array_picard(phi, cfg, params)
+    assert len(result.trajectory.times) == n_steps * (quadrature_nodes - 1) + 1
+    assert len(distances) >= 3
+    assert result.converged == converged
+    assert len(result.distances) == len(distances)
+    for a, b in zip(result.distances, distances):
+        assert abs(a - b) <= 1e-14 * b
+    for state, node in zip(result.trajectory.states, u, strict=True):
+        full = hermitian_complete(node, grid16.nx) if real else node
+        assert state.data.tobytes() == full.tobytes()
 
 
 def test_zero_data_converges_immediately(grid16, kp1):
@@ -85,6 +180,10 @@ def test_contraction_failure_raises_with_advice(kp1_alpha1):
         duhamel_picard(big, cfg, kp1_alpha1)
     assert "cutoff_T" in str(err.value)
     assert len(err.value.distances) >= 2
+    # the blocked loop gives up at the same iteration as the whole-array one
+    with pytest.raises(ContractionFailureError) as ref:
+        _whole_array_picard(big, cfg, kp1_alpha1)
+    assert len(err.value.distances) == len(ref.value.distances)
 
 
 def test_rejects_nonzero_x_mean(grid16, kp1):
@@ -126,3 +225,23 @@ def test_peak_allocation_stays_under_five_node_arrays(grid32, kp1_alpha1):
     assert len(result.trajectory.times) == 101
     node_array = 101 * 32 * 32 * 16
     assert peak <= 5 * node_array, peak / node_array
+
+
+@pytest.mark.parametrize(("n", "nodes"), [(32, 101), (64, 201)])
+def test_peak_allocation_stays_under_two_and_a_half_node_arrays(kp1_alpha1, n, nodes):
+    """The phase and the iterate are the only node arrays the loop keeps; the
+    quadratic term and the update work on cache-sized blocks, and the final
+    states add one full node array."""
+    grid = make_grid(n, n, 2 * np.pi, 2 * np.pi)
+    phi = _small_data(grid)
+    cfg = SolverConfig(dt=0.01, t_final=0.2, quadrature_nodes=(nodes - 1) // 20 + 1)
+    duhamel_picard(phi, cfg, kp1_alpha1)  # warm-up: caches and one-time blocks
+    tracemalloc.start()
+    try:
+        result = duhamel_picard(phi, cfg, kp1_alpha1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(result.trajectory.times) == nodes
+    node_array = nodes * n * n * 16
+    assert peak <= 2.5 * node_array, peak / node_array

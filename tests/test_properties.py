@@ -22,6 +22,7 @@ from kp5 import (
     resonance,
     sobolev_aniso_norm,
 )
+from kp5.duhamel import _trapezoid_prefix
 from kp5.errors import ZeroMassViolationError
 from kp5.evolution import linear_propagate
 from kp5.field import hermitian_complete, hermitian_reflect, is_hermitian
@@ -293,3 +294,34 @@ def test_dyadic_eta_matches_the_full_array_formula_bit_for_bit(x):
     for j in range(1, 41):
         reference = _reference_psi(np.ldexp(x, -j)) - _reference_psi(np.ldexp(x, 1 - j))
         assert dyadic_eta(j, x).tobytes() == reference.tobytes(), j
+
+
+@given(
+    data=st.integers(min_value=2, max_value=64).flatmap(
+        lambda n: arrays(
+            np.complex128,
+            (n, 2, 3),
+            elements=st.one_of(
+                st.complex_numbers(max_magnitude=1e6, allow_nan=False, allow_infinity=False),
+                # signed zeros, which an empty carried sum must leave as they are
+                st.sampled_from([complex(a, b) for a in (0.0, -0.0) for b in (0.0, -0.0)]),
+            ),
+        )
+    ),
+    h=st.floats(min_value=1e-6, max_value=1.0),
+    pick=st.data(),
+)
+def test_blocked_trapezoid_prefix_matches_the_whole_array_prefix_bit_for_bit(data, h, pick):
+    n = len(data)
+    block = pick.draw(st.integers(min_value=1, max_value=n + 1), label="block")
+    whole = np.empty_like(data)
+    whole[0] = 0.0
+    np.add(data[1:], data[:-1], out=whole[1:])
+    whole[1:] *= 0.5 * h
+    np.cumsum(whole[1:], axis=0, out=whole[1:])
+    blocked = np.empty_like(data)
+    carry = None
+    for start in range(0, n, block):
+        b = slice(start, min(start + block, n))
+        carry = _trapezoid_prefix(data[b], h, carry, out=blocked[b])
+    assert blocked.tobytes() == whole.tobytes()
