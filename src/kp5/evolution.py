@@ -131,12 +131,21 @@ def _step_with_phase(f: Field, half_phase: np.ndarray, dt: float, nonlinear: boo
     # Callers project ``f`` once; its xi = 0 line then stays +0.0 in every later
     # state, as ``half_phase`` is 1 - 0j there (omega_on_grid is 0 on the line)
     # and ``nonlinear_rhs`` multiplies the line by 1j*0: no policy check is due.
-    half = Field(f.grid, f.data * half_phase, f.reality)
+    # Stored arrays (the half spectrum of a real field; nonlinear_rhs keeps it
+    # real) in the Field operators' operand order: the bits of half - (0.5*dt)*k1.
+    grid, reality = f.grid, f.reality
+    phase = half_phase[:, : f._stored.shape[1]]
+    half = f._stored * phase
     if nonlinear:
-        k1 = nonlinear_rhs(half)
-        mid = half - (0.5 * dt) * k1
-        half = half - dt * nonlinear_rhs(mid)
-    out = Field(half.grid, half.data * half_phase, half.reality)
+        k1 = nonlinear_rhs(Field._from_stored(grid, half, reality))
+        mid = np.multiply(k1._stored, complex(0.5 * dt))
+        np.subtract(half, mid, out=mid)
+        out = np.multiply(nonlinear_rhs(Field._from_stored(grid, mid, reality))._stored, complex(dt))
+        np.subtract(half, out, out=out)
+        np.multiply(out, phase, out=out)
+    else:
+        out = np.multiply(half, phase, out=half)
+    out = Field._from_stored(grid, out, reality)
     if not out.is_finite():
         raise BlowUpError("non-finite samples after split step")
     return out

@@ -2,15 +2,18 @@
 
 ``Field.data`` holds the unitary-normalized Fourier coefficients on the
 ``(ny, nx)`` lattice; the physical representation is recovered on demand.
+A reality-flagged field may hold only its stored columns ``0..nx//2``; the
+other columns, their Hermitian mirrors, are built on the first ``data`` read.
 Fields are immutable: every operation returns a new value and the backing
-arrays are write-locked, so fields may be shared freely between threads.
+arrays are write-locked, so fields may be shared freely between threads (two
+threads racing on a first ``data`` read build the same array: harmless).
 The raw ``Field(...)`` constructor takes ownership of the array it is given;
 the ``from_*`` constructors always copy caller data.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 
 import numpy as np
 
@@ -84,25 +87,66 @@ class _Spectrum:
 
     def x_mean_content(self) -> float:
         """Relative magnitude of the xi = 0 spectral line."""
-        line = float(np.max(np.abs(self.data[..., 0])))
-        scale = float(np.max(np.abs(self.data)))
-        return line / scale if scale > 0.0 else 0.0
+        return _x_mean_content(self.data)
 
 
-@dataclass(frozen=True)
+def _x_mean_content(data: np.ndarray) -> float:
+    line = float(np.max(np.abs(data[..., 0])))
+    scale = float(np.max(np.abs(data)))
+    return line / scale if scale > 0.0 else 0.0
+
+
 class Field(_Spectrum):
-    """Spectral coefficients of one scalar field on a shared grid."""
+    """Spectral coefficients of one scalar field on a shared grid.
+
+    ``_stored`` holds columns ``0..nx//2`` of a reality-flagged field and the
+    whole lattice of a complex one.  The stored half is authoritative, as for
+    ``to_physical``: arithmetic and multipliers read only that half, so a
+    Hermitian defect that a raw ``Field(grid, data, reality=True)`` carries
+    in ``data``'s other columns does not reach the fields derived from it.
+    """
 
     grid: SpectralGrid
-    data: np.ndarray
-    reality: bool = True
+    reality: bool
 
-    def __post_init__(self) -> None:
-        if self.data.shape != self.grid.shape:
-            raise ValueError(f"data shape {self.data.shape} != grid shape {self.grid.shape}")
-        if self.data.dtype != np.complex128:
-            raise ValueError(f"spectral data must be complex128, got {self.data.dtype}")
-        object.__setattr__(self, "data", _take(self.data))
+    def __init__(self, grid: SpectralGrid, data: np.ndarray, reality: bool = True) -> None:
+        if data.shape != grid.shape:
+            raise ValueError(f"data shape {data.shape} != grid shape {grid.shape}")
+        if data.dtype != np.complex128:
+            raise ValueError(f"spectral data must be complex128, got {data.dtype}")
+        data = _take(data)
+        stored = data[:, : grid.nx // 2 + 1] if reality else data
+        self.__dict__.update(grid=grid, reality=reality, _stored=stored, _full=data)
+
+    @classmethod
+    def _from_stored(cls, grid: SpectralGrid, stored: np.ndarray, reality: bool) -> "Field":
+        """Take ownership of a stored array: the ``(ny, nx//2 + 1)`` half of a
+        reality-flagged field, whose full lattice is built only when ``data``
+        is read, or the whole lattice of a complex one."""
+        if not reality:
+            return cls(grid, stored, reality=False)
+        f = cls.__new__(cls)
+        f.__dict__.update(grid=grid, reality=True, _stored=_take(stored), _full=None)
+        return f
+
+    def __setattr__(self, name, value=None):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        return f"Field(grid={self.grid!r}, reality={self.reality!r})"
+
+    @property
+    def data(self) -> np.ndarray:
+        """The write-locked ``(ny, nx)`` coefficient lattice, completed from
+        the stored half on first read."""
+        full = self._full
+        if full is None:
+            full = hermitian_complete(self._stored, self.grid.nx)
+            full.flags.writeable = False
+            self.__dict__["_full"] = full
+        return full
 
     # -- constructors --------------------------------------------------------
 
@@ -121,7 +165,7 @@ class Field(_Spectrum):
         half = np.fft.rfft2(samples.astype(np.float64, copy=False), norm="ortho")
         edges = half[:, :: grid.nx // 2]  # xi = 0 and Nyquist: Hermitian to rounding, made exactly so
         edges[...] = 0.5 * (edges + _mirror(edges, np.empty_like(edges)))
-        return cls(grid, hermitian_complete(half, grid.nx), reality=True)
+        return cls._from_stored(grid, half, reality=True)
 
     @classmethod
     def from_spectral(
@@ -145,8 +189,8 @@ class Field(_Spectrum):
     def to_physical(self) -> np.ndarray:
         """Physical samples; real-valued array when the reality flag is set."""
         if self.reality:
-            return np.fft.irfft2(self.data[:, : self.grid.nx // 2 + 1], s=self.grid.shape, norm="ortho")
-        return np.fft.ifft2(self.data, norm="ortho")
+            return np.fft.irfft2(self._stored, s=self.grid.shape, norm="ortho")
+        return np.fft.ifft2(self._stored, norm="ortho")
 
     def reality_defect(self) -> float:
         """Max |c(k,l) - conj(c(-k,-l))| over the lattice."""
@@ -158,7 +202,12 @@ class Field(_Spectrum):
         return float(np.max(np.abs(self.to_physical())))
 
     def is_finite(self) -> bool:
-        return bool(np.all(np.isfinite(self.data)))
+        return bool(np.all(np.isfinite(self._stored)))
+
+    def x_mean_content(self) -> float:
+        """Relative magnitude of the xi = 0 spectral line, read on the stored
+        array: a mirror column holds the magnitudes of its stored column."""
+        return _x_mean_content(self._stored)
 
     # -- arithmetic (same grid required) ---------------------------------------
 
@@ -166,20 +215,25 @@ class Field(_Spectrum):
         if self.grid != other.grid:
             raise ValueError("fields live on different grids")
 
-    def __add__(self, other: "Field") -> "Field":
+    def _combine(self, other: "Field", op) -> "Field":
         self._check_same_grid(other)
-        return Field(self.grid, self.data + other.data, self.reality and other.reality)
+        if self.reality and other.reality:
+            return Field._from_stored(self.grid, op(self._stored, other._stored), True)
+        return Field(self.grid, op(self.data, other.data), False)
+
+    def __add__(self, other: "Field") -> "Field":
+        return self._combine(other, np.add)
 
     def __sub__(self, other: "Field") -> "Field":
-        self._check_same_grid(other)
-        return Field(self.grid, self.data - other.data, self.reality and other.reality)
+        return self._combine(other, np.subtract)
 
     def __mul__(self, scalar) -> "Field":
         s = complex(scalar)
-        reality = self.reality and s.imag == 0.0
-        return Field(self.grid, self.data * s, reality)
+        if self.reality and s.imag != 0.0:
+            return Field(self.grid, self.data * s, False)
+        return Field._from_stored(self.grid, self._stored * s, self.reality)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "Field":
-        return Field(self.grid, -self.data, self.reality)
+        return Field._from_stored(self.grid, -self._stored, self.reality)

@@ -6,7 +6,9 @@ xi = 0 line (identity, i*xi, bracket weights) act there as usual; multipliers
 singular on that line (1/(i*xi) and everything built from the dispersion
 symbol) are resolved by the zero-mode policy: project-out writes zeros,
 the error policy rejects fields that still carry xi = 0 content.  The
-reality flag survives exactly when ``m(-xi, -mu) == conj(m(xi, mu))``.
+reality flag survives exactly when ``m(-xi, -mu) == conj(m(xi, mu))`` on the
+modes the field populates; a reality-flagged field then stays backed by its
+stored half spectrum, and the masks act on that half as well.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 
 from .dispersion import DispersionParams, ZeroModePolicy
 from .errors import SingularSymbolError, SymbolEvaluationError, ZeroMassViolationError
-from .field import Field, is_hermitian
+from .field import Field, _mirror, is_hermitian
 from .grid import SpectralGrid
 
 __all__ = [
@@ -46,14 +48,31 @@ def require_zero_x_mean(f, what: str = "operation", error_cls=ZeroMassViolationE
 
 
 def _evaluate_multiplier(grid: SpectralGrid, m: Callable) -> np.ndarray:
+    """``m`` on the lattice, as returned (at least 2-D, broadcastable to the grid)."""
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         raw = np.asarray(m(grid.xi_mesh, grid.mu_mesh), dtype=np.complex128)
     try:
-        return np.broadcast_to(raw, grid.shape)
+        np.broadcast_to(raw, grid.shape)
     except ValueError:
         raise SymbolEvaluationError(
             f"multiplier returned shape {raw.shape}, expected broadcastable to {grid.shape}"
         ) from None
+    return np.atleast_2d(raw)
+
+
+def _symmetric_where_populated(values: np.ndarray, stored: np.ndarray, nx: int) -> bool:
+    """True when ``m(-xi, -mu) == conj(m(xi, mu))`` on every stored column
+    ``0..nx//2`` that ``stored`` populates; a mirror column's condition is
+    the conjugate of its stored column's, so this covers the mirrors too."""
+    mirrors = values
+    if values.shape[1] > 1:  # the mirror of stored column k is column -k mod nx
+        values = values[:, : nx // 2 + 1]
+        mirrors = np.concatenate((mirrors[:, :1], mirrors[:, : nx // 2 - 1 : -1]), axis=1)
+    asymmetric = (values != _mirror(mirrors, np.empty_like(mirrors))).any(axis=0)
+    if not asymmetric.any():
+        return True
+    # a one-column multiplier takes the same values on every column
+    return not stored[:, asymmetric if asymmetric.size > 1 else slice(None)].any()
 
 
 def apply_symbol(f: Field, m: Callable, params: DispersionParams | None = None) -> Field:
@@ -62,8 +81,9 @@ def apply_symbol(f: Field, m: Callable, params: DispersionParams | None = None) 
     policy = params.zero_mode if params is not None else ZeroModePolicy.PROJECT_OUT
     values = _evaluate_multiplier(grid, m)
 
-    bad = ~np.isfinite(values)
-    if np.any(bad):
+    if not np.all(np.isfinite(values)):
+        values = np.broadcast_to(values, grid.shape)
+        bad = ~np.isfinite(values)
         off_line = bad.copy()
         off_line[:, 0] = False
         if np.any(off_line):
@@ -77,20 +97,20 @@ def apply_symbol(f: Field, m: Callable, params: DispersionParams | None = None) 
         values = values.copy()
         values[:, 0][bad[:, 0]] = 0.0
 
-    out = f.data * values
     # reality survives iff the multiplier is conjugation-symmetric on every
-    # mode the field populates, so test the product rather than the symbol
-    # (the derivative multiplier i*xi is asymmetric only at the empty Nyquist
-    # column of dealiased fields)
-    reality = f.reality and is_hermitian(out)
-    return Field(grid, out, reality)
+    # mode the field populates; the derivative multiplier i*xi is asymmetric
+    # only at the Nyquist column, which dealiased fields leave empty
+    if f.reality and _symmetric_where_populated(values, f._stored, grid.nx):
+        return Field._from_stored(grid, f._stored * values[:, : f._stored.shape[1]], True)
+    out = f.data * values
+    return Field(grid, out, f.reality and is_hermitian(out))
 
 
 def zero_mode_project(f: Field) -> Field:
     """Set every xi = 0 coefficient to exactly zero; idempotent bit for bit."""
-    data = f.data.copy()
+    data = f._stored.copy()
     data[:, 0] = 0.0
-    return Field(f.grid, data, f.reality)
+    return Field._from_stored(f.grid, data, f.reality)
 
 
 def _policy_project(f: Field, params: DispersionParams) -> Field:
@@ -102,7 +122,8 @@ def _policy_project(f: Field, params: DispersionParams) -> Field:
 
 def dealias(f: Field) -> Field:
     """2/3-rule truncation: zero coefficients with |k| > nx/3 or |l| > ny/3."""
-    return Field(f.grid, np.where(f.grid.dealias_mask, f.data, 0.0 + 0.0j), f.reality)
+    mask = f.grid.dealias_mask[:, : f._stored.shape[1]]
+    return Field._from_stored(f.grid, np.where(mask, f._stored, 0.0 + 0.0j), f.reality)
 
 
 # xi-only multipliers are evaluated on one lattice row, which apply_symbol broadcasts

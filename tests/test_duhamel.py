@@ -211,8 +211,9 @@ def test_half_and_full_spectrum_layouts_agree(grid32, kp1_alpha1):
 
 
 def test_peak_allocation_stays_under_five_node_arrays(grid32, kp1_alpha1):
-    """Four half-spectrum node arrays updated in place, the quadratic term's
-    temporaries and the final states stay under five full node arrays."""
+    """Two half-spectrum node arrays (the phase and the iterate), the
+    block-sized temporaries of the quadratic term and the update, and the
+    final states stay under five full node arrays."""
     phi = _small_data(grid32)
     cfg = SolverConfig(dt=0.01, t_final=0.2, quadrature_nodes=6)
     duhamel_picard(phi, cfg, kp1_alpha1)  # warm-up: caches and one-time blocks

@@ -12,6 +12,7 @@ from kp5 import (
     ZeroModePolicy,
     dealias,
     dispersion_omega,
+    energy_functional,
     evolve,
     linear_propagate,
     linear_trajectory,
@@ -19,13 +20,18 @@ from kp5 import (
     make_initial_data,
     mass,
     nonlinear_rhs,
+    omega_on_grid,
     residual_check,
     sobolev_aniso_norm,
     step_splitstep,
     x_derivative,
     zero_mode_project,
 )
+from kp5 import evolution as evolution_module
+from kp5 import field as field_module
 from kp5.errors import BlowUpError, SingularSymbolError
+from kp5.evolution import _step_with_phase
+from kp5.field import hermitian_complete, hermitian_reflect
 
 
 def _random_zero_mean(grid, seed=0):
@@ -334,3 +340,74 @@ def test_evolve_conserves_mass_and_energy_desk_scale(kp1_alpha1):
     assert np.max(np.abs(masses - masses[0])) <= 1e-10 * masses[0]
     assert np.max(np.abs(energies - energies[0])) <= 1e-3 * abs(energies[0])
     assert mass(traj.final()) == pytest.approx(masses[-1], rel=1e-15)
+
+
+# -- the march on stored half spectra -------------------------------------------
+
+
+def _full_dealias(data, grid):
+    return np.where(grid.dealias_mask, data, 0.0 + 0.0j)
+
+
+def _full_rhs(data, grid):
+    """The quadratic term as the full-lattice primitives formed it: dealias,
+    square on the real half spectrum, complete, dealias, multiply by i*xi."""
+    u = np.fft.irfft2(_full_dealias(data, grid)[:, : grid.nx // 2 + 1], s=grid.shape, norm="ortho")
+    half = np.fft.rfft2(0.5 * u * u, norm="ortho")
+    edges = half[:, :: grid.nx // 2]
+    edges[...] = 0.5 * (edges + hermitian_reflect(edges))
+    return _full_dealias(hermitian_complete(half, grid.nx), grid) * (1j * grid.xi_mesh[:1])
+
+
+def _full_step(data, half_phase, dt, grid):
+    """One Strang step on full lattices, with the Field operators' operand order."""
+    half = data * half_phase
+    mid = half - _full_rhs(half, grid) * complex(0.5 * dt)
+    return (half - _full_rhs(mid, grid) * complex(dt)) * half_phase
+
+
+@pytest.mark.parametrize("n", [32, 128])
+@pytest.mark.parametrize("sign", [KPSign.KP1, KPSign.KP2])
+def test_evolve_is_bitwise_the_full_lattice_march(n, sign):
+    grid = make_grid(n, n, n * np.pi / 4, n * np.pi / 4)
+    f0 = make_initial_data(grid, GaussianData(amplitude=0.8, sigma_x=1.75, sigma_y=2.5))
+    params = DispersionParams(kp_sign=sign, alpha=1.0)
+    cfg = SolverConfig(dt=1e-4, t_final=2e-3)
+    monitors = (NormSpec(1.0, 0.0), NormSpec(0.0, 1.0))
+    traj = evolve(f0, cfg, params, monitors)
+
+    half_phase = np.exp(-0.5j * cfg.dt * omega_on_grid(grid, params))
+    data = f0.data.copy()
+    data[:, 0] = 0.0
+    reference = []
+    for i in range(1, cfg.n_steps + 1):
+        data = _full_step(data, half_phase, cfg.dt, grid)
+        state = Field(grid, data.copy(), reality=True)
+        record = {"t": i * cfg.dt, "mass": mass(state), "energy": energy_functional(state, params.alpha)}
+        record.update((spec.label, sobolev_aniso_norm(state, spec)) for spec in monitors)
+        reference.append(record)
+    assert traj.final().data.tobytes() == data.tobytes()
+    assert list(traj.diagnostics[1:]) == reference
+
+
+def test_the_march_completes_the_spectrum_once_per_diagnostics_record(monkeypatch, kp1_alpha1):
+    grid = make_grid(32, 32, 8 * np.pi, 8 * np.pi)
+    x, y = np.meshgrid(grid.x, grid.y)
+    f0 = zero_mode_project(Field.from_physical(grid, np.exp(-((x - 12.0) ** 2 + (y - 12.0) ** 2) / 8.0)))
+    completions = []
+
+    def counting(half, nx):
+        completions.append(nx)
+        return hermitian_complete(half, nx)
+
+    def step(*args):
+        before = len(completions)
+        out = _step_with_phase(*args)
+        assert len(completions) == before, "the Strang step built a full lattice"
+        return out
+
+    monkeypatch.setattr(field_module, "hermitian_complete", counting)
+    monkeypatch.setattr(evolution_module, "_step_with_phase", step)
+    traj = evolve(f0, SolverConfig(dt=1e-3, t_final=1e-2), kp1_alpha1, state_stride=5)
+    assert len(traj.diagnostics) == 11
+    assert len(completions) == 11

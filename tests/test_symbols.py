@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from kp5 import (
     DispersionParams,
@@ -7,11 +9,14 @@ from kp5 import (
     ZeroModePolicy,
     apply_symbol,
     dealias,
+    make_grid,
     x_antiderivative,
     x_derivative,
     zero_mode_project,
 )
+from kp5 import symbols
 from kp5.errors import SingularSymbolError, SymbolEvaluationError
+from kp5.field import is_hermitian
 
 
 def test_identity_multiplier_is_identity(grid16):
@@ -129,3 +134,85 @@ def test_dealias_idempotent(grid16):
     f = Field.from_physical(grid16, rng.standard_normal(grid16.shape))
     once = dealias(f)
     assert np.array_equal(once.data, dealias(once).data)
+
+
+# -- half-backed real fields against the full-lattice formulas -------------------
+#
+# A reality-flagged field stores columns 0..nx//2 and completes the rest on
+# demand, so its stored columns must carry the bits the full-lattice formula
+# gives there and the whole lattice its values.  (A zero the full formula
+# writes into a mirror column is +0 + 0j; the completion writes its conjugate,
+# +0 - 0j, which is equal but not the same bytes.)
+
+
+def _real_field(grid, seed):
+    return Field.from_physical(grid, np.random.default_rng(seed).standard_normal(grid.shape))
+
+
+def _assert_matches(out: Field, expected: np.ndarray, reality: bool):
+    half = out.grid.nx // 2 + 1
+    assert out.reality == reality
+    assert out.data[:, :half].tobytes() == expected[:, :half].tobytes()
+    assert np.array_equal(out.data, expected)
+
+
+_sizes = st.sampled_from([4, 6, 8, 16, 32])
+_seeds = st.integers(min_value=0, max_value=2**32 - 1)
+
+
+def _full_line_multiplier(grid, m):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = np.broadcast_to(m(grid.xi_mesh[:1]), grid.shape).copy()
+    values[:, 0][~np.isfinite(values[:, 0])] = 0.0
+    return values
+
+
+@given(nx=_sizes, ny=_sizes, seed=_seeds, dealiased=st.booleans())
+def test_half_backed_multipliers_give_the_full_lattice_values(nx, ny, seed, dealiased):
+    grid = make_grid(nx, ny, 2 * np.pi, 3 * np.pi)
+    f = _real_field(grid, seed)
+    _assert_matches(dealias(f), np.where(grid.dealias_mask, f.data, 0.0 + 0.0j), True)
+    projected = f.data.copy()
+    projected[:, 0] = 0.0
+    _assert_matches(zero_mode_project(f), projected, True)
+    if dealiased:
+        f = dealias(f)
+    for op, m in ((x_derivative, lambda xi: 1j * xi), (x_antiderivative, lambda xi: 1.0 / (1j * xi))):
+        expected = f.data * _full_line_multiplier(grid, m)
+        # i*xi and 1/(i*xi) are conjugation-asymmetric only on the Nyquist column
+        _assert_matches(op(f), expected, is_hermitian(expected))
+
+
+@given(nx=_sizes, ny=_sizes, seed=_seeds, a=st.floats(min_value=-1e3, max_value=1e3, allow_nan=False))
+def test_half_backed_arithmetic_gives_the_full_lattice_values(nx, ny, seed, a):
+    grid = make_grid(nx, ny, 2 * np.pi, 3 * np.pi)
+    f, g = _real_field(grid, seed), _real_field(grid, seed + 1)
+    _assert_matches(f + g, f.data + g.data, True)
+    _assert_matches(f - g, f.data - g.data, True)
+    _assert_matches(a * f, f.data * complex(a), True)
+    _assert_matches(f * a, f.data * complex(a), True)
+    _assert_matches(-f, -f.data, True)
+    _assert_matches(f * complex(a, 1.0), f.data * complex(a, 1.0), False)
+    h = Field.from_physical(grid, np.random.default_rng(seed).standard_normal(grid.shape) * 1j)
+    _assert_matches(f + h, f.data + h.data, False)
+
+
+def test_x_derivative_of_nyquist_content_keeps_the_full_product_and_verdict(grid16, monkeypatch):
+    verdicts = []
+
+    def counting(data):
+        verdicts.append(data.shape)
+        return is_hermitian(data)
+
+    monkeypatch.setattr(symbols, "is_hermitian", counting)
+    f = Field.from_physical(grid16, np.random.default_rng(4).standard_normal(grid16.shape))
+    assert np.max(np.abs(f.data[:, grid16.nx // 2])) > 0.0
+    out = x_derivative(f)
+    assert verdicts == [grid16.shape]
+    assert not out.reality
+    assert out.data.tobytes() == (f.data * (1j * grid16.xi_mesh[:1])).tobytes()
+
+    # once dealiased, the Nyquist column is empty: no full product, no verdict
+    out = x_derivative(dealias(f))
+    assert verdicts == [grid16.shape]
+    assert out.reality and out._full is None
