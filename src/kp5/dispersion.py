@@ -15,7 +15,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import SingularSymbolError
-from .grid import SpectralGrid
+from .grid import SpectralGrid, _take
 
 __all__ = [
     "KPSign",
@@ -109,8 +109,7 @@ def _omega_lattice(grid: SpectralGrid, params: DispersionParams) -> np.ndarray:
     omega = dispersion_omega(xi, grid.mu_mesh, params)
     omega[:, 0] = 0.0
     omega[:, grid.nx // 2] = 0.0
-    omega.flags.writeable = False
-    return omega
+    return _take(omega)
 
 
 def omega_on_grid(grid: SpectralGrid, params: DispersionParams) -> np.ndarray:

@@ -54,14 +54,13 @@ class PicardResult:
         return tuple(out)
 
 
-def _nonlinear_slices(u: np.ndarray, grid, real: bool) -> np.ndarray:
-    """Batched dealiased d/dx(u^2)/2 on time slices of the half (``real``) or full spectrum."""
+def _nonlinear_slices(u: np.ndarray, grid) -> np.ndarray:
+    """Batched dealiased d/dx(u^2)/2 on time slices of the half spectrum."""
     cols = u.shape[-1]
     mask = grid.dealias_mask[:, :cols]
-    inverse, forward = (scipy.fft.irfft2, scipy.fft.rfft2) if real else (scipy.fft.ifft2, scipy.fft.fft2)
-    phys = inverse(u * mask, s=grid.shape, axes=(1, 2), norm="ortho", overwrite_x=True)
+    phys = scipy.fft.irfft2(u * mask, s=grid.shape, axes=(1, 2), norm="ortho", overwrite_x=True)
     phys *= phys
-    out = forward(phys, axes=(1, 2), norm="ortho", overwrite_x=True)
+    out = scipy.fft.rfft2(phys, axes=(1, 2), norm="ortho", overwrite_x=True)
     out *= 0.5j * grid.xi[:cols] * mask
     return out
 
@@ -95,19 +94,21 @@ def duhamel_picard(
 ) -> PicardResult:
     """Iterate the cutoff integral equation to its fixed point.
 
+    ``phi`` must be reality-flagged: the iterate lives on the half spectrum.
     Time nodes are ``j*h`` with ``h = dt/(quadrature_nodes - 1)``, so each
     solver step carries ``quadrature_nodes`` trapezoid nodes.  Returns the
     final iterate as a trajectory over the fine grid plus the distance
     sequence; raises ``ContractionFailureError`` when the distances grow for
     two consecutive iterations.
     """
+    if not phi.reality:
+        raise ValueError("the fixed-point iteration takes real data; phi is flagged complex")
     require_zero_x_mean(phi, what="fixed-point iteration")
     grid = phi.grid
     sub = cfg.quadrature_nodes - 1
     h = cfg.dt / sub
     n_nodes = cfg.n_steps * sub + 1
-    real = phi.reality
-    cols = grid.nx // 2 + 1 if real else grid.nx
+    cols = grid.nx // 2 + 1
     if 16 * n_nodes * grid.ny * cols > np.iinfo(np.intp).max:
         raise MemoryError(
             f"one node array of {n_nodes:.3g} nodes x {grid.ny}x{cols} complex modes "
@@ -115,16 +116,16 @@ def duhamel_picard(
         )
     t = np.arange(n_nodes) * h
 
-    # a real phi lives on the half spectrum: every interior column stands for
-    # itself and its Hermitian mirror, so it counts twice in the distance
-    weights = np.full(cols, 2.0 if real else 1.0)
+    # every interior column of the half spectrum stands for itself and its
+    # Hermitian mirror, so it counts twice in the distance
+    weights = np.full(cols, 2.0)
     weights[[0, -1]] = 1.0
     phase_fwd = -1j * t[:, None, None] * omega_on_grid(grid, params)[None, :, :cols]
     np.exp(phase_fwd, out=phase_fwd)
     psi = cutoff_psi(t)[:, None, None]
     psi_t = cutoff_psi_T(t, cfg.cutoff_T)[:, None, None]
 
-    phi_hat = zero_mode_project(phi).data[:, :cols]
+    phi_hat = zero_mode_project(phi)._stored
     u = np.multiply(phase_fwd, phi_hat)
     np.multiply(psi, u, out=u)
 
@@ -144,7 +145,7 @@ def duhamel_picard(
             for start in range(0, n_nodes, block):
                 b = slice(start, min(start + block, n_nodes))
                 # conj(phase_fwd) * N(u), as conj(phase_fwd * conj(N(u))) in place
-                integrand = _nonlinear_slices(u[b], grid, real)
+                integrand = _nonlinear_slices(u[b], grid)
                 np.conj(integrand, out=integrand)
                 integrand *= phase_fwd[b]
                 np.conj(integrand, out=integrand)
@@ -175,9 +176,7 @@ def duhamel_picard(
         increases = increases + 1 if grew else 0
 
     del new, phase_fwd
-    states = tuple(
-        Field.from_spectral(grid, hermitian_complete(s, grid.nx) if real else s, reality=real) for s in u
-    )
+    states = tuple(Field.from_spectral(grid, hermitian_complete(s, grid.nx), reality=True) for s in u)
     diagnostics = tuple(
         _diagnostics_record(float(t[j]), states[j], params.alpha, monitors)
         for j in range(n_nodes)

@@ -19,7 +19,7 @@ from .dispersion import DispersionParams, omega_on_grid
 from .errors import BlowUpError, SingularSymbolError
 from .field import Field
 from .norms import NormSpec, energy_functional, mass, sobolev_aniso_norm
-from .symbols import _policy_project, dealias, require_zero_x_mean, x_derivative
+from .symbols import _policy_project, dealias, require_zero_x_mean, x_derivative, zero_mode_project
 
 __all__ = [
     "SolverConfig",
@@ -208,7 +208,8 @@ def evolve(
     times = [0.0]
     states = [f0]
     diagnostics = [_diagnostics_record(0.0, f0, alpha, monitors)]
-    current = _policy_project(f0, params)
+    # the check above already rejected xi = 0 content under either policy
+    current = zero_mode_project(f0)
     half_phase = np.exp(-0.5j * cfg.dt * omega_on_grid(f0.grid, params))
     for i in range(1, n_steps + 1):
         t = i * cfg.dt

@@ -17,21 +17,11 @@ from dataclasses import FrozenInstanceError
 
 import numpy as np
 
-from .grid import SpectralGrid
+from .grid import SpectralGrid, _take
 
 __all__ = ["Field", "hermitian_complete", "hermitian_reflect", "is_hermitian"]
 
 _HERMITIAN_TOL = 1e-12
-
-
-def _take(arr: np.ndarray) -> np.ndarray:
-    """Write-lock an array, copying first if it aliases someone else's memory."""
-    if not arr.flags.writeable and arr.base is None:
-        return arr
-    if arr.base is not None or not arr.flags.c_contiguous:
-        arr = arr.copy()
-    arr.flags.writeable = False
-    return arr
 
 
 def _mirror(src: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -143,8 +133,7 @@ class Field(_Spectrum):
         the stored half on first read."""
         full = self._full
         if full is None:
-            full = hermitian_complete(self._stored, self.grid.nx)
-            full.flags.writeable = False
+            full = _take(hermitian_complete(self._stored, self.grid.nx))
             self.__dict__["_full"] = full
         return full
 

@@ -85,7 +85,8 @@ def write_field(path, field: Field, time: float = 0.0) -> None:
 
 
 def read_field(path) -> tuple[Field, float]:
-    """Load a KP5F dump; returns the field and its stored time."""
+    """Load a KP5F dump; returns the field and its stored time.  A dump with a
+    non-finite sample is rejected, as kp5 never writes one."""
     raw = Path(path).read_bytes()
     if len(raw) < _HEADER.size:
         raise FormatError(f"{path}: truncated header ({len(raw)} bytes)")
@@ -102,6 +103,9 @@ def read_field(path) -> tuple[Field, float]:
     except ValueError as exc:
         raise FormatError(f"{path}: invalid stored grid: {exc}") from exc
     samples = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size).reshape(ny, nx)
+    bad = samples.size - np.count_nonzero(np.isfinite(samples))
+    if bad:
+        raise FormatError(f"{path}: {bad} non-finite sample(s)")
     return Field.from_physical(grid, samples.astype(np.float64)), float(time)
 
 

@@ -8,7 +8,9 @@ Storage conventions, fixed once for the whole package:
 * wavenumbers follow ``numpy.fft.fftfreq`` ordering with
   ``wavenumber(k) = 2*pi*k_signed/L`` and ``k_signed in {-n/2, ..., n/2 - 1}``;
 * spectral data uses the unitary transform normalization (``norm="ortho"``),
-  so the plain lattice sums of ``|u|**2`` agree in both spaces.
+  so the plain lattice sums of ``|u|**2`` agree in both spaces;
+* every cached table of a grid is write-locked (``_take``), and the 2-D
+  meshes are read-only broadcast views of the 1-D tables, not copies.
 """
 
 from __future__ import annotations
@@ -21,6 +23,16 @@ import numpy as np
 from .errors import GridError
 
 __all__ = ["SpectralGrid", "make_grid"]
+
+
+def _take(arr: np.ndarray) -> np.ndarray:
+    """Write-lock an array, copying first if it aliases someone else's memory."""
+    if not arr.flags.writeable and arr.base is None:
+        return arr
+    if arr.base is not None or not arr.flags.c_contiguous:
+        arr = arr.copy()
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
@@ -45,46 +57,42 @@ class SpectralGrid:
     @cached_property
     def x(self) -> np.ndarray:
         """Physical x samples, shape (nx,)."""
-        return np.arange(self.nx) * (self.lx / self.nx)
+        return _take(np.arange(self.nx) * (self.lx / self.nx))
 
     @cached_property
     def y(self) -> np.ndarray:
         """Physical y samples, shape (ny,)."""
-        return np.arange(self.ny) * (self.ly / self.ny)
+        return _take(np.arange(self.ny) * (self.ly / self.ny))
 
     @cached_property
     def xi(self) -> np.ndarray:
         """x wavenumbers 2*pi*k/lx in fftfreq order, shape (nx,); xi[0] == 0 exactly."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.nx, d=self.lx / self.nx)
+        return _take(2.0 * np.pi * np.fft.fftfreq(self.nx, d=self.lx / self.nx))
 
     @cached_property
     def mu(self) -> np.ndarray:
         """y wavenumbers 2*pi*l/ly in fftfreq order, shape (ny,)."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.ny, d=self.ly / self.ny)
+        return _take(2.0 * np.pi * np.fft.fftfreq(self.ny, d=self.ly / self.ny))
 
     @cached_property
     def xi_mesh(self) -> np.ndarray:
-        """xi broadcast on the [iy, ix] lattice, shape (ny, nx)."""
-        m = np.broadcast_to(self.xi[None, :], (self.ny, self.nx)).copy()
-        m.flags.writeable = False
-        return m
+        """xi broadcast on the [iy, ix] lattice, shape (ny, nx): a read-only view of ``xi``."""
+        return np.broadcast_to(self.xi, self.shape)
 
     @cached_property
     def mu_mesh(self) -> np.ndarray:
-        """mu broadcast on the [iy, ix] lattice, shape (ny, nx)."""
-        m = np.broadcast_to(self.mu[:, None], (self.ny, self.nx)).copy()
-        m.flags.writeable = False
-        return m
+        """mu broadcast on the [iy, ix] lattice, shape (ny, nx): a read-only view of ``mu``."""
+        return np.broadcast_to(self.mu[:, None], self.shape)
 
     @cached_property
     def k_signed_x(self) -> np.ndarray:
         """Integer x mode numbers in storage order."""
-        return np.rint(np.fft.fftfreq(self.nx) * self.nx).astype(int)
+        return _take(np.rint(np.fft.fftfreq(self.nx) * self.nx).astype(int))
 
     @cached_property
     def k_signed_y(self) -> np.ndarray:
         """Integer y mode numbers in storage order."""
-        return np.rint(np.fft.fftfreq(self.ny) * self.ny).astype(int)
+        return _take(np.rint(np.fft.fftfreq(self.ny) * self.ny).astype(int))
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:
@@ -92,9 +100,7 @@ class SpectralGrid:
         # integer comparison 3|k| <= n avoids float fuzz at the band edge
         keep_x = 3 * np.abs(self.k_signed_x) <= self.nx
         keep_y = 3 * np.abs(self.k_signed_y) <= self.ny
-        mask = keep_y[:, None] & keep_x[None, :]
-        mask.flags.writeable = False
-        return mask
+        return _take(keep_y[:, None] & keep_x[None, :])
 
     @property
     def shape(self) -> tuple[int, int]:

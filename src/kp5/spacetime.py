@@ -19,8 +19,8 @@ import numpy as np
 from .cutoffs import dyadic_eta
 from .dispersion import DispersionParams, omega_on_grid
 from .errors import UndefinedRatioError
-from .field import Field, _Spectrum, _take
-from .grid import SpectralGrid
+from .field import Field, _Spectrum
+from .grid import SpectralGrid, _take
 from .norms import NormSpec, _sobolev_weights, bracket
 from .symbols import _policy_project, require_zero_x_mean
 

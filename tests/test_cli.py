@@ -1,6 +1,7 @@
 import json
 import os
 import socket
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -10,7 +11,9 @@ import pytest
 
 from kp5.cli import main
 from kp5.dispersion import DispersionParams, KPSign
-from kp5.fileio import read_field
+from kp5.field import Field
+from kp5.fileio import read_field, write_field
+from kp5.grid import make_grid
 from kp5.resonance import resonance
 
 
@@ -229,6 +232,73 @@ def test_norms_command(tmp_path, capsys):
     norms = payload["norms"]
     assert norms["l2"] == pytest.approx(norms["h_0_0"], rel=1e-15)
     assert {"mass", "energy", "h_2_2", "tilde_2_1"} <= set(norms)
+
+
+def _non_finite_dump(tmp_path, value: float) -> Path:
+    """A 16x16 KP5F dump of a zero-mean wave with one sample overwritten by ``value``."""
+    grid = make_grid(16, 16, 6.283185307179586, 6.283185307179586)
+    path = tmp_path / "bad.kp5f"
+    write_field(path, Field.from_physical(grid, 0.01 * np.sin(grid.x)[None, :] * np.ones((16, 1))))
+    raw = bytearray(path.read_bytes())
+    raw[40 + 8 * 37 : 40 + 8 * 38] = struct.pack("<d", value)
+    path.write_bytes(bytes(raw))
+    return path
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("command", ["norms", "simulate", "picard"])
+def test_a_non_finite_dump_is_a_format_error(tmp_path, capsys, command, value):
+    dump = _non_finite_dump(tmp_path, value)
+    out = tmp_path / "never"
+    if command == "norms":
+        argv = ["norms", "--field", str(dump)]
+    else:
+        cfg = _write_config(tmp_path / "cfg.json", initial_data={"kind": "file", "path": str(dump)})
+        argv = [command, "--config", str(cfg), "--quiet"]
+    assert main(argv + ["--out", str(out)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("format error:") and captured.err.count("\n") == 1
+    assert "1 non-finite sample" in captured.err
+    assert not out.exists() and not (tmp_path / "default-out").exists()
+
+
+# the configs of the CI byte-identity steps
+_PICARD_DOC = {
+    "grid": {"nx": 32, "ny": 32, "lx": 6.283185307179586, "ly": 6.283185307179586},
+    "solver": {"dt": 0.01, "t_final": 0.2, "quadrature_nodes": 6, "picard_tol": 1e-12},
+    "initial_data": {"kind": "mode_sum", "modes": [[1, 1, 0.4, 0.3], [2, -1, 0.4, 1.1], [3, 2, 0.4, 2.0]]},
+    "monitors": [[1, 0], [0, 1]],
+}
+_SIMULATE_DOC = {
+    "grid": {"nx": 64, "ny": 64, "lx": 50.26548245743669, "ly": 50.26548245743669},
+    "solver": {"dt": 0.0001, "t_final": 0.002},
+    "initial_data": {
+        "kind": "gaussian", "amplitude": 0.8, "sigma_x": 1.75, "sigma_y": 2.5, "center": [20.0, 25.0]
+    },
+    "monitors": [[1, 0], [0, 1]],
+    "output": {"snapshot_stride": 5},
+}
+
+
+@pytest.mark.parametrize(
+    ("command", "doc", "names"),
+    [
+        ("simulate", _SIMULATE_DOC, ("final.kp5f", "diagnostics.csv")),
+        ("picard", _PICARD_DOC, ("final.kp5f", "diagnostics.csv", "distances.csv")),
+    ],
+)
+def test_the_solvers_write_the_same_bytes_under_both_zero_mode_policies(tmp_path, command, doc, names):
+    """Both solvers reject xi = 0 content under either policy and then project
+    once, so the policy does not reach their artifacts."""
+    runs = []
+    for policy in ("project_out", "error"):
+        dispersion = {"kp_sign": "kp1", "alpha": 1.0, "zero_mode": policy}
+        cfg = _write_config(tmp_path / f"{policy}.json", **doc, dispersion=dispersion)
+        out = tmp_path / policy
+        assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
+        runs.append({name: (out / name).read_bytes() for name in names})
+    assert runs[0] == runs[1]
 
 
 def test_resonance_map_rows(tmp_path):

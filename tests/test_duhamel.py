@@ -27,17 +27,28 @@ def _small_data(grid, l2_target=0.009):
     return f * (l2_target / f.l2_norm())
 
 
+def _full_lattice_slices(u, grid):
+    """Dealiased d/dx(u^2)/2 on time slices of the full spectrum, with complex
+    transforms: the full-lattice reference for ``duhamel._nonlinear_slices``."""
+    mask = grid.dealias_mask
+    phys = np.fft.ifft2(u * mask, axes=(1, 2), norm="ortho")
+    return np.fft.fft2(phys * phys, axes=(1, 2), norm="ortho") * (0.5j * grid.xi * mask)
+
+
 def _whole_array_picard(phi, cfg, params):
     """The iteration with one pass over all nodes per round, each node array
-    updated in place: the unblocked reference for ``duhamel_picard``.  Returns
-    the final half- or full-spectrum iterate, the distances and ``converged``;
-    raises ``ContractionFailureError`` under the same rule."""
+    updated in place: the unblocked reference for ``duhamel_picard``.  A real
+    phi iterates on the half spectrum with the module's kernel, a complex one
+    on the full lattice with ``_full_lattice_slices``.  Returns the final
+    iterate, the distances and ``converged``; raises
+    ``ContractionFailureError`` under the same rule."""
     grid = phi.grid
     sub = cfg.quadrature_nodes - 1
     h = cfg.dt / sub
     n_nodes = cfg.n_steps * sub + 1
     real = phi.reality
     cols = grid.nx // 2 + 1 if real else grid.nx
+    kernel = duhamel._nonlinear_slices if real else _full_lattice_slices
     t = np.arange(n_nodes) * h
     weights = np.full(cols, 2.0 if real else 1.0)
     weights[[0, -1]] = 1.0
@@ -51,7 +62,7 @@ def _whole_array_picard(phi, cfg, params):
     increases = 0
     for _ in range(cfg.picard_max_iters):
         with np.errstate(over="ignore", invalid="ignore"):
-            integrand = duhamel._nonlinear_slices(u, grid, real)
+            integrand = kernel(u, grid)
             np.conj(integrand, out=integrand)
             integrand *= phase_fwd
             np.conj(integrand, out=integrand)
@@ -78,7 +89,6 @@ def _whole_array_picard(phi, cfg, params):
 
 
 @pytest.mark.parametrize("sign", [KPSign.KP1, KPSign.KP2])
-@pytest.mark.parametrize("real", [True, False])
 @pytest.mark.parametrize(
     ("n_steps", "quadrature_nodes", "nodes_per_block"),
     [
@@ -93,14 +103,12 @@ def _whole_array_picard(phi, cfg, params):
     ],
 )
 def test_blocked_iteration_is_bit_identical_to_whole_array_loop(
-    grid16, monkeypatch, sign, real, n_steps, quadrature_nodes, nodes_per_block
+    grid16, monkeypatch, sign, n_steps, quadrature_nodes, nodes_per_block
 ):
     phi = _small_data(grid16, l2_target=1.0)
-    if not real:
-        phi = Field(grid16, phi.data, reality=False)
     params = DispersionParams(kp_sign=sign, alpha=1.0)
     cfg = SolverConfig(dt=1e-2, t_final=1e-2 * n_steps, picard_tol=1e-13, quadrature_nodes=quadrature_nodes)
-    cols = grid16.nx // 2 + 1 if real else grid16.nx
+    cols = grid16.nx // 2 + 1
     monkeypatch.setattr(duhamel, "_BLOCK_BYTES", nodes_per_block * 16 * grid16.ny * cols)
     result = duhamel_picard(phi, cfg, params)
     u, distances, converged = _whole_array_picard(phi, cfg, params)
@@ -111,8 +119,7 @@ def test_blocked_iteration_is_bit_identical_to_whole_array_loop(
     for a, b in zip(result.distances, distances):
         assert abs(a - b) <= 1e-14 * b
     for state, node in zip(result.trajectory.states, u, strict=True):
-        full = hermitian_complete(node, grid16.nx) if real else node
-        assert state.data.tobytes() == full.tobytes()
+        assert state.data.tobytes() == hermitian_complete(node, grid16.nx).tobytes()
 
 
 def test_zero_data_converges_immediately(grid16, kp1):
@@ -194,20 +201,26 @@ def test_rejects_nonzero_x_mean(grid16, kp1):
 
 def test_half_and_full_spectrum_layouts_agree(grid32, kp1_alpha1):
     """A real phi iterates on nx//2 + 1 columns; the same coefficients
-    flagged complex iterate on all nx, and both reach the same fixed point."""
+    flagged complex, iterated on all nx by the full-lattice reference, reach
+    the same fixed point."""
     phi = _small_data(grid32, l2_target=1.0)
     cfg = SolverConfig(dt=1e-2, t_final=0.2, picard_tol=1e-13, quadrature_nodes=3)
     half = duhamel_picard(phi, cfg, kp1_alpha1)
-    full = duhamel_picard(Field(grid32, phi.data, reality=False), cfg, kp1_alpha1)
-    assert len(half.distances) == len(full.distances) >= 3
-    assert half.converged and full.converged
+    full, distances, converged = _whole_array_picard(Field(grid32, phi.data, reality=False), cfg, kp1_alpha1)
+    assert len(half.distances) == len(distances) >= 3
+    assert half.converged and converged
     assert all(s.reality for s in half.trajectory.states)
-    assert not any(s.reality for s in full.trajectory.states)
     scale = phi.l2_norm()
-    for a, b in zip(half.trajectory.states, full.trajectory.states):
-        assert np.max(np.abs(a.data - b.data)) <= 1e-13 * scale
+    for a, b in zip(half.trajectory.states, full, strict=True):
+        assert np.max(np.abs(a.data - b)) <= 1e-13 * scale
     d0 = half.distances[0]
-    assert max(abs(a - b) for a, b in zip(half.distances, full.distances)) <= 1e-14 * d0
+    assert max(abs(a - b) for a, b in zip(half.distances, distances)) <= 1e-14 * d0
+
+
+def test_rejects_complex_data(grid16, kp1):
+    phi = _small_data(grid16)
+    with pytest.raises(ValueError, match="real data"):
+        duhamel_picard(Field(grid16, phi.data, reality=False), SolverConfig(dt=1e-3, t_final=1e-2), kp1)
 
 
 def test_peak_allocation_stays_under_five_node_arrays(grid32, kp1_alpha1):

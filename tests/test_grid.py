@@ -59,6 +59,28 @@ def test_dealias_mask_band():
             assert keep[iy, ix] == (abs(k) <= 4 and abs(l) <= 4)
 
 
+_TABLES = ("x", "y", "xi", "mu", "xi_mesh", "mu_mesh", "k_signed_x", "k_signed_y", "dealias_mask")
+
+
+@pytest.mark.parametrize("name", _TABLES)
+def test_every_cached_table_is_read_only(name):
+    g = make_grid(8, 6, 2.0, 3.0)
+    table = getattr(g, name)
+    assert getattr(g, name) is table  # cached, so every caller shares it
+    assert not table.flags.writeable
+    with pytest.raises(ValueError):
+        table[(0,) * table.ndim] = 1
+
+
+def test_meshes_are_the_broadcast_one_dimensional_tables():
+    g = make_grid(8, 6, 2.0, 3.0)
+    assert g.xi_mesh.shape == g.mu_mesh.shape == g.shape
+    assert np.array_equal(g.xi_mesh, np.broadcast_to(g.xi[None, :], g.shape))
+    assert np.array_equal(g.mu_mesh, np.broadcast_to(g.mu[:, None], g.shape))
+    # views of one table each, so the two can never disagree
+    assert np.shares_memory(g.xi_mesh, g.xi) and np.shares_memory(g.mu_mesh, g.mu)
+
+
 def test_plancherel_and_roundtrip_100_random_fields():
     g = make_grid(16, 24, 3.0, 5.0)
     rng = np.random.default_rng(7)
