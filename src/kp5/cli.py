@@ -234,7 +234,7 @@ def cmd_verify(args) -> int:
         with _OutputDir(args.out or f"kp5-verify-{args.suite}") as out:
             report = run_suite(args.suite, args.seed, args.samples)
             if report.rows:
-                write_csv(out / f"{report.suite}.csv", report.rows, report.columns)
+                write_csv(out / f"{report.suite}.csv", report.rows, tuple(report.rows[0]))
             write_json(
                 out / f"{report.suite}_summary.json",
                 _manifest(

@@ -6,7 +6,7 @@ Unknown keys are rejected everywhere, and every default is explicit here:
 
     {
       "grid": {"nx": 64, "ny": 64, "lx": 6.283185307179586, "ly": 6.283185307179586},
-      "dispersion": {"kp_sign": "kp1", "alpha": 0.0, "zero_mode": "project_out"},
+      "dispersion": {"kp_sign": "kp1", "alpha": 0.0},
       "solver": {"dt": 1e-4, "t_final": 0.01,
                  "picard_max_iters": 25, "picard_tol": 1e-10,
                  "quadrature_nodes": 2, "cutoff_T": 0.5},
@@ -40,7 +40,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .dispersion import DispersionParams, KPSign, ZeroModePolicy
+from .dispersion import DispersionParams, KPSign
 from .errors import ConfigError
 from .evolution import SolverConfig
 from .grid import SpectralGrid, make_grid
@@ -126,13 +126,12 @@ def _parse_grid(section) -> SpectralGrid:
 
 
 def _parse_dispersion(section) -> DispersionParams:
-    section = _object({} if section is None else section, "dispersion", {"kp_sign", "alpha", "zero_mode"})
+    section = _object({} if section is None else section, "dispersion", {"kp_sign", "alpha"})
     return _build(
         "dispersion",
         DispersionParams,
         kp_sign=_choice(KPSign, section, "kp_sign", "kp1", "dispersion"),
         alpha=_number(section, "alpha", "dispersion", 0.0),
-        zero_mode=_choice(ZeroModePolicy, section, "zero_mode", "project_out", "dispersion"),
     )
 
 

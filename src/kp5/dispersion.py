@@ -31,10 +31,6 @@ class KPSign(enum.Enum):
     KP1 = "kp1"
     KP2 = "kp2"
 
-    @property
-    def value_sign(self) -> float:
-        return 1.0 if self is KPSign.KP1 else -1.0
-
 
 class ZeroModePolicy(enum.Enum):
     PROJECT_OUT = "project_out"
@@ -59,7 +55,7 @@ class DispersionParams:
 
     @property
     def sign(self) -> float:
-        return self.kp_sign.value_sign
+        return 1.0 if self.kp_sign is KPSign.KP1 else -1.0
 
 
 def dispersion_omega(xi, mu, params: DispersionParams):

@@ -127,7 +127,7 @@ def nonlinear_rhs(f: Field) -> Field:
     return x_derivative(dealias(Field.from_physical(f.grid, 0.5 * u * u)))
 
 
-def _step_with_phase(f: Field, half_phase: np.ndarray, dt: float, nonlinear: bool) -> Field:
+def _step_with_phase(f: Field, half_phase: np.ndarray, dt: float) -> Field:
     # Callers project ``f`` once; its xi = 0 line then stays +0.0 in every later
     # state, as ``half_phase`` is 1 - 0j there (omega_on_grid is 0 on the line)
     # and ``nonlinear_rhs`` multiplies the line by 1j*0: no policy check is due.
@@ -136,28 +136,23 @@ def _step_with_phase(f: Field, half_phase: np.ndarray, dt: float, nonlinear: boo
     grid, reality = f.grid, f.reality
     phase = half_phase[:, : f._stored.shape[1]]
     half = f._stored * phase
-    if nonlinear:
-        k1 = nonlinear_rhs(Field._from_stored(grid, half, reality))
-        mid = np.multiply(k1._stored, complex(0.5 * dt))
-        np.subtract(half, mid, out=mid)
-        out = np.multiply(nonlinear_rhs(Field._from_stored(grid, mid, reality))._stored, complex(dt))
-        np.subtract(half, out, out=out)
-        np.multiply(out, phase, out=out)
-    else:
-        out = np.multiply(half, phase, out=half)
+    k1 = nonlinear_rhs(Field._from_stored(grid, half, reality))
+    mid = np.multiply(k1._stored, complex(0.5 * dt))
+    np.subtract(half, mid, out=mid)
+    out = np.multiply(nonlinear_rhs(Field._from_stored(grid, mid, reality))._stored, complex(dt))
+    np.subtract(half, out, out=out)
+    np.multiply(out, phase, out=out)
     out = Field._from_stored(grid, out, reality)
     if not out.is_finite():
         raise BlowUpError("non-finite samples after split step")
     return out
 
 
-def step_splitstep(
-    f: Field, dt: float, params: DispersionParams, nonlinear: bool = True
-) -> Field:
+def step_splitstep(f: Field, dt: float, params: DispersionParams) -> Field:
     """One Strang step: half linear flow, explicit midpoint for the transport
     term, half linear flow.  Raises ``BlowUpError`` on non-finite output."""
     half_phase = np.exp(-0.5j * dt * omega_on_grid(f.grid, params))
-    return _step_with_phase(_policy_project(f, params), half_phase, dt, nonlinear)
+    return _step_with_phase(_policy_project(f, params), half_phase, dt)
 
 
 def _advection_dt_ceiling(f: Field) -> float:
@@ -182,7 +177,6 @@ def evolve(
     cfg: SolverConfig,
     params: DispersionParams,
     monitors: tuple[NormSpec, ...] = (),
-    nonlinear: bool = True,
     state_stride: int = 1,
 ) -> Trajectory:
     """March the split-step solver from 0 to t_final.
@@ -216,7 +210,7 @@ def evolve(
         try:
             # overflow right before blow-up detection is expected noise
             with np.errstate(over="ignore", invalid="ignore"):
-                current = _step_with_phase(current, half_phase, cfg.dt, nonlinear)
+                current = _step_with_phase(current, half_phase, cfg.dt)
                 record = _diagnostics_record(t, current, alpha, monitors)
         except BlowUpError:
             last_finite = (i - 1) * cfg.dt

@@ -50,6 +50,8 @@ class SpectralGrid:
                 raise GridError(f"{name} must be an integer, got {n!r}")
             if n < 4 or n % 2 != 0:
                 raise GridError(f"{name} must be even and >= 4, got {n}")
+        if 16 * int(self.nx) * int(self.ny) > np.iinfo(np.intp).max:  # a complex lattice must be indexable
+            raise GridError(f"nx*ny = {self.nx}*{self.ny} is too large to index a complex lattice")
         for name, length in (("lx", self.lx), ("ly", self.ly)):
             if not np.isfinite(length) or length <= 0:
                 raise GridError(f"{name} must be a positive finite real, got {length!r}")

@@ -127,9 +127,9 @@ def dealias(f: Field) -> Field:
 
 
 # xi-only multipliers are evaluated on one lattice row, which apply_symbol broadcasts
-def x_derivative(f: Field, params: DispersionParams | None = None) -> Field:
+def x_derivative(f: Field) -> Field:
     """Spectral d/dx (multiplier i*xi)."""
-    return apply_symbol(f, lambda xi, mu: 1j * xi[:1], params)
+    return apply_symbol(f, lambda xi, mu: 1j * xi[:1])
 
 
 def x_antiderivative(f: Field, params: DispersionParams | None = None) -> Field:

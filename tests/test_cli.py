@@ -15,6 +15,7 @@ from kp5.field import Field
 from kp5.fileio import read_field, write_field
 from kp5.grid import make_grid
 from kp5.resonance import resonance
+from kp5.sweeps import SUITES, run_suite
 
 
 def _write_config(path: Path, **overrides) -> Path:
@@ -263,42 +264,52 @@ def test_a_non_finite_dump_is_a_format_error(tmp_path, capsys, command, value):
     assert not out.exists() and not (tmp_path / "default-out").exists()
 
 
-# the configs of the CI byte-identity steps
-_PICARD_DOC = {
-    "grid": {"nx": 32, "ny": 32, "lx": 6.283185307179586, "ly": 6.283185307179586},
-    "solver": {"dt": 0.01, "t_final": 0.2, "quadrature_nodes": 6, "picard_tol": 1e-12},
-    "initial_data": {"kind": "mode_sum", "modes": [[1, 1, 0.4, 0.3], [2, -1, 0.4, 1.1], [3, 2, 0.4, 2.0]]},
-    "monitors": [[1, 0], [0, 1]],
-}
-_SIMULATE_DOC = {
-    "grid": {"nx": 64, "ny": 64, "lx": 50.26548245743669, "ly": 50.26548245743669},
-    "solver": {"dt": 0.0001, "t_final": 0.002},
-    "initial_data": {
-        "kind": "gaussian", "amplitude": 0.8, "sigma_x": 1.75, "sigma_y": 2.5, "center": [20.0, 25.0]
-    },
-    "monitors": [[1, 0], [0, 1]],
-    "output": {"snapshot_stride": 5},
+@pytest.mark.parametrize("command", ["simulate", "picard"])
+def test_zero_mode_is_not_a_config_key(tmp_path, capsys, command):
+    """The zero-mode policy is a library ``DispersionParams`` field: both
+    solvers reject xi = 0 content under either policy and then project once,
+    so a run config has nothing to choose."""
+    dispersion = {"kp_sign": "kp1", "alpha": 1.0, "zero_mode": "error"}
+    cfg = _write_config(tmp_path / "cfg.json", dispersion=dispersion)
+    out = tmp_path / "never"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    assert capsys.readouterr().err == "config error: dispersion: unknown keys ['zero_mode']\n"
+    assert not out.exists() and not (tmp_path / "default-out").exists()
+
+
+@pytest.mark.parametrize("command", ["simulate", "picard"])
+def test_a_grid_too_large_to_index_is_a_one_line_config_error(tmp_path, capsys, command):
+    grid = {"nx": 2**62, "ny": 4, "lx": 6.283185307179586, "ly": 6.283185307179586}
+    cfg = _write_config(tmp_path / "cfg.json", grid=grid)
+    out = tmp_path / "never"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: grid: ") and err.count("\n") == 1
+    assert "too large to index" in err and "Traceback" not in err
+    assert not out.exists() and not (tmp_path / "default-out").exists()
+
+
+# the CSV header of each suite, and a sample count that keeps the run short
+_SUITE_HEADERS = {
+    "convolution": ("gamma,a,lhs_bracket,ratio_bracket,lhs_sqrt,ratio_sqrt", 2),
+    "dyadic": ("j_max,points,max_defect", 100),
+    "kp2bound": ("family,min_ratio,max_ratio", 10),
+    "resonance": ("kp_sign,alpha,max_defect", 10),
+    "strichartz": ("j,r,sample,ratio", 1),
+    "unitarity": ("sample,norm_defect,group_defect", 2),
 }
 
 
-@pytest.mark.parametrize(
-    ("command", "doc", "names"),
-    [
-        ("simulate", _SIMULATE_DOC, ("final.kp5f", "diagnostics.csv")),
-        ("picard", _PICARD_DOC, ("final.kp5f", "diagnostics.csv", "distances.csv")),
-    ],
-)
-def test_the_solvers_write_the_same_bytes_under_both_zero_mode_policies(tmp_path, command, doc, names):
-    """Both solvers reject xi = 0 content under either policy and then project
-    once, so the policy does not reach their artifacts."""
-    runs = []
-    for policy in ("project_out", "error"):
-        dispersion = {"kp_sign": "kp1", "alpha": 1.0, "zero_mode": policy}
-        cfg = _write_config(tmp_path / f"{policy}.json", **doc, dispersion=dispersion)
-        out = tmp_path / policy
-        assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
-        runs.append({name: (out / name).read_bytes() for name in names})
-    assert runs[0] == runs[1]
+@pytest.mark.parametrize("suite", sorted(SUITES))
+def test_every_suite_csv_header_is_the_keys_of_its_rows(tmp_path, suite):
+    header, samples = _SUITE_HEADERS[suite]
+    out = tmp_path / suite
+    assert main(["verify", suite, "--seed", "3", "--samples", str(samples), "--out", str(out), "--quiet"]) in (0, 1)
+    lines = (out / f"{suite}.csv").read_text().splitlines()
+    assert lines[0] == header
+    rows = run_suite(suite, 3, samples).rows
+    assert len(lines) == 1 + len(rows)
+    assert all(",".join(row) == header for row in rows)
 
 
 def test_resonance_map_rows(tmp_path):

@@ -196,20 +196,12 @@ def test_step_error_policy_rejects_line_content(grid16):
         step_splitstep(f, 1e-3, params)
 
 
-@pytest.mark.parametrize("nonlinear", [True, False])
-def test_step_projects_its_input_once_to_a_positive_zero_line(grid16, kp1_alpha1, nonlinear):
+def test_step_projects_its_input_once_to_a_positive_zero_line(grid16, kp1_alpha1):
     f = _random_zero_mean(grid16, 3)
     data = f.data.copy()
     data[:, 0] = -0.0
-    out = step_splitstep(Field(grid16, data, f.reality), 1e-3, kp1_alpha1, nonlinear)
+    out = step_splitstep(Field(grid16, data, f.reality), 1e-3, kp1_alpha1)
     assert not np.any(np.signbit(_line_parts(out)))
-
-
-def test_step_degenerates_to_linear(grid32, kp1_alpha1):
-    f = _random_zero_mean(grid32, 5)
-    a = step_splitstep(f, 1e-3, kp1_alpha1, nonlinear=False)
-    b = linear_propagate(f, 1e-3, kp1_alpha1)
-    assert (a - b).l2_norm() <= 1e-12 * f.l2_norm()
 
 
 def test_step_self_convergence_order(kp1_alpha1):
@@ -268,16 +260,6 @@ def test_evolve_is_bitwise_the_same_under_both_zero_mode_policies(sign):
     for state in runs[0].states[1:]:
         line = _line_parts(state)
         assert np.all(line == 0.0) and not np.any(np.signbit(line))
-
-
-def test_evolve_matches_repeated_propagate_when_linearized(grid32, kp1_alpha1):
-    f0 = _random_zero_mean(grid32, 6)
-    cfg = SolverConfig(dt=1e-3, t_final=0.01)
-    traj = evolve(f0, cfg, kp1_alpha1, nonlinear=False)
-    for i, t in enumerate(traj.times):
-        direct = linear_propagate(f0, float(t), kp1_alpha1)
-        budget = 1e-12 * max(1, i) * f0.l2_norm()
-        assert (traj.states[i] - direct).l2_norm() <= budget
 
 
 def test_evolve_requires_zero_x_mean(grid16, kp1):

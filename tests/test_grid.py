@@ -32,6 +32,14 @@ def test_rejects_bad_geometry(nx, ny, lx, ly):
         make_grid(nx, ny, lx, ly)
 
 
+def test_rejects_a_grid_whose_complex_lattice_numpy_cannot_index():
+    with pytest.raises(GridError, match="too large to index"):
+        make_grid(2**62, 4, 1.0, 1.0)
+    with pytest.raises(GridError, match="too large to index"):  # no int64 wraparound
+        make_grid(np.int64(2**30), np.int64(2**29), 1.0, 1.0)
+    assert make_grid(2**30, 2**28, 1.0, 1.0).shape == (2**28, 2**30)  # 2**62 bytes: tables stay lazy
+
+
 def test_physical_sample_positions():
     g = make_grid(8, 4, 4.0, 2.0)
     assert np.allclose(g.x, np.arange(8) * 0.5)

@@ -79,7 +79,6 @@ def _dyadic_per_shell_loop(seed, samples, j_max):
         seed=seed,
         passed=worst <= 1e-15,
         summary={"max_defect": worst, "threshold": 1e-15, "points": samples, "j_max": j_max},
-        columns=("j_max", "points", "max_defect"),
         rows=({"j_max": j_max, "points": samples, "max_defect": worst},),
     )
 
