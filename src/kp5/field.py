@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import FrozenInstanceError
 
 import numpy as np
+import scipy.fft
 
 from .grid import SpectralGrid, _take
 
@@ -150,8 +151,8 @@ class Field(_Spectrum):
         if samples.shape != grid.shape:
             raise ValueError(f"sample shape {samples.shape} != grid shape {grid.shape}")
         if np.iscomplexobj(samples):
-            return cls(grid, np.fft.fft2(samples.astype(np.complex128), norm="ortho"), reality=False)
-        half = np.fft.rfft2(samples.astype(np.float64, copy=False), norm="ortho")
+            return cls(grid, scipy.fft.fft2(samples.astype(np.complex128), norm="ortho"), reality=False)
+        half = scipy.fft.rfft2(samples.astype(np.float64, copy=False), norm="ortho")
         edges = half[:, :: grid.nx // 2]  # xi = 0 and Nyquist: Hermitian to rounding, made exactly so
         edges[...] = 0.5 * (edges + _mirror(edges, np.empty_like(edges)))
         return cls._from_stored(grid, half, reality=True)
@@ -178,8 +179,8 @@ class Field(_Spectrum):
     def to_physical(self) -> np.ndarray:
         """Physical samples; real-valued array when the reality flag is set."""
         if self.reality:
-            return np.fft.irfft2(self._stored, s=self.grid.shape, norm="ortho")
-        return np.fft.ifft2(self._stored, norm="ortho")
+            return scipy.fft.irfft2(self._stored, s=self.grid.shape, norm="ortho")
+        return scipy.fft.ifft2(self._stored, norm="ortho")
 
     def reality_defect(self) -> float:
         """Max |c(k,l) - conj(c(-k,-l))| over the lattice."""

@@ -5,7 +5,7 @@ Storage conventions, fixed once for the whole package:
 * physical samples live on ``x_i = i*lx/nx``, ``y_j = j*ly/ny``;
 * arrays are indexed ``[iy, ix]`` (y outer, x inner), so a C-order flatten
   matches the on-disk sample order of the field dump format;
-* wavenumbers follow ``numpy.fft.fftfreq`` ordering with
+* wavenumbers follow ``scipy.fft.fftfreq`` ordering with
   ``wavenumber(k) = 2*pi*k_signed/L`` and ``k_signed in {-n/2, ..., n/2 - 1}``;
 * spectral data uses the unitary transform normalization (``norm="ortho"``),
   so the plain lattice sums of ``|u|**2`` agree in both spaces;
@@ -19,6 +19,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.fft
 
 from .errors import GridError
 
@@ -69,12 +70,12 @@ class SpectralGrid:
     @cached_property
     def xi(self) -> np.ndarray:
         """x wavenumbers 2*pi*k/lx in fftfreq order, shape (nx,); xi[0] == 0 exactly."""
-        return _take(2.0 * np.pi * np.fft.fftfreq(self.nx, d=self.lx / self.nx))
+        return _take(2.0 * np.pi * scipy.fft.fftfreq(self.nx, d=self.lx / self.nx))
 
     @cached_property
     def mu(self) -> np.ndarray:
         """y wavenumbers 2*pi*l/ly in fftfreq order, shape (ny,)."""
-        return _take(2.0 * np.pi * np.fft.fftfreq(self.ny, d=self.ly / self.ny))
+        return _take(2.0 * np.pi * scipy.fft.fftfreq(self.ny, d=self.ly / self.ny))
 
     @cached_property
     def xi_mesh(self) -> np.ndarray:
@@ -89,12 +90,12 @@ class SpectralGrid:
     @cached_property
     def k_signed_x(self) -> np.ndarray:
         """Integer x mode numbers in storage order."""
-        return _take(np.rint(np.fft.fftfreq(self.nx) * self.nx).astype(int))
+        return _take(np.rint(scipy.fft.fftfreq(self.nx) * self.nx).astype(int))
 
     @cached_property
     def k_signed_y(self) -> np.ndarray:
         """Integer y mode numbers in storage order."""
-        return _take(np.rint(np.fft.fftfreq(self.ny) * self.ny).astype(int))
+        return _take(np.rint(scipy.fft.fftfreq(self.ny) * self.ny).astype(int))
 
     @cached_property
     def dealias_mask(self) -> np.ndarray:

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+import scipy.fft
 
 from .cutoffs import dyadic_eta
 from .dispersion import DispersionParams, omega_on_grid
@@ -43,7 +44,7 @@ def _sigma_lattice(
 ) -> np.ndarray:
     """Modulation tau - omega(xi, mu) on the (nt, ny, nx) lattice, with the
     temporal frequencies tau = 2*pi*k/t_window in fftfreq order."""
-    tau = 2.0 * np.pi * np.fft.fftfreq(nt, d=t_window / nt)
+    tau = 2.0 * np.pi * scipy.fft.fftfreq(nt, d=t_window / nt)
     return tau[:, None, None] - omega_on_grid(grid, params)[None, :, :]
 
 
@@ -67,8 +68,8 @@ def _on_columns(block: np.ndarray, columns: np.ndarray, nx: int) -> np.ndarray:
 def _kept_slices(block: np.ndarray, columns: np.ndarray, nx: int, keep: np.ndarray) -> np.ndarray:
     """``to_physical()[keep]`` of a spectrum that is zero off the xi ``columns``,
     from its (nt, ny, len(columns)) block: only the block is time-transformed."""
-    spatial = np.fft.fft(block, axis=0, norm="ortho")[keep]
-    return np.fft.ifft2(_on_columns(spatial, columns, nx), axes=(1, 2), norm="ortho")
+    spatial = scipy.fft.fft(block, axis=0, norm="ortho")[keep]
+    return scipy.fft.ifft2(_on_columns(spatial, columns, nx), axes=(1, 2), norm="ortho")
 
 
 @dataclass(frozen=True)
@@ -99,7 +100,7 @@ class SpaceTimeField(_Spectrum):
         cls, grid: SpectralGrid, t_window: float, samples: np.ndarray
     ) -> "SpaceTimeField":
         samples = np.asarray(samples, dtype=np.complex128)
-        spec = np.fft.ifft(np.fft.fft2(samples, axes=(1, 2), norm="ortho"), axis=0, norm="ortho")
+        spec = scipy.fft.ifft(scipy.fft.fft2(samples, axes=(1, 2), norm="ortho"), axis=0, norm="ortho")
         return cls(grid, samples.shape[0], float(t_window), spec)
 
     @classmethod
@@ -127,12 +128,12 @@ class SpaceTimeField(_Spectrum):
 
     def to_physical(self) -> np.ndarray:
         """Physical samples ``u[it, iy, ix]``."""
-        spatial = np.fft.fft(self.data, axis=0, norm="ortho")
-        return np.fft.ifft2(spatial, axes=(1, 2), norm="ortho")
+        spatial = scipy.fft.fft(self.data, axis=0, norm="ortho")
+        return scipy.fft.ifft2(spatial, axes=(1, 2), norm="ortho")
 
     def slices(self) -> tuple[Field, ...]:
         """Single-time fields at each sample time."""
-        spatial = np.fft.fft(self.data, axis=0, norm="ortho")
+        spatial = scipy.fft.fft(self.data, axis=0, norm="ortho")
         return tuple(Field.from_spectral(self.grid, spatial[i]) for i in range(self.nt))
 
 
@@ -144,7 +145,7 @@ def sample_linear_flow(
     data = _policy_project(phi, params).data
     times = _sample_times(nt, t_window)
     spatial = data[None, :, :] * np.exp(-1j * times[:, None, None] * omega[None, :, :])
-    spec = np.fft.ifft(spatial, axis=0, norm="ortho")
+    spec = scipy.fft.ifft(spatial, axis=0, norm="ortho")
     return SpaceTimeField(phi.grid, nt, float(t_window), spec)
 
 

@@ -221,18 +221,27 @@ def test_half_and_full_spectrum_layouts_agree(grid32, kp1_alpha1):
 
 @pytest.mark.parametrize(
     ("nx", "ny", "box"),
-    [(128, 128, 32 * np.pi), (32, 48, 2 * np.pi), (6, 8, 2 * np.pi), (64, 64, 2 * np.pi), (16, 16, 2 * np.pi)],
+    [
+        (128, 128, 32 * np.pi),
+        (32, 48, 2 * np.pi),
+        (6, 8, 2 * np.pi),
+        (64, 64, 2 * np.pi),
+        (16, 16, 2 * np.pi),
+        (10, 12, 3.0),
+    ],
 )
 def test_the_picard_and_march_quadratic_kernels_agree(nx, ny, box):
     """``_nonlinear_slices`` on a batch of one is ``nonlinear_rhs`` on the
-    stored half spectrum, up to rounding (9.4e-16 of the peak at most here)."""
+    stored half spectrum, value for value: both transform through ``scipy.fft``.
+    Not byte for byte: outside the dealiased band one masks by multiplying and
+    the other by ``np.where``, so zeros there may differ in sign."""
     grid = make_grid(nx, ny, box, box)
     for seed in range(5):
         f = Field.from_physical(grid, np.random.default_rng(seed).standard_normal(grid.shape))
         batched = duhamel._nonlinear_slices(f._stored[None], grid)[0]
         single = nonlinear_rhs(f)._stored
         assert batched.shape == single.shape
-        assert np.max(np.abs(batched - single)) <= 4e-15 * np.max(np.abs(single))
+        assert np.array_equal(batched, single)
 
 
 @pytest.mark.parametrize("sign", [KPSign.KP1, KPSign.KP2])

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from kp5 import (
     DispersionParams,
@@ -334,8 +335,8 @@ def _full_dealias(data, grid):
 def _full_rhs(data, grid):
     """The quadratic term as the full-lattice primitives formed it: dealias,
     square on the real half spectrum, complete, dealias, multiply by i*xi."""
-    u = np.fft.irfft2(_full_dealias(data, grid)[:, : grid.nx // 2 + 1], s=grid.shape, norm="ortho")
-    half = np.fft.rfft2(0.5 * u * u, norm="ortho")
+    u = scipy.fft.irfft2(_full_dealias(data, grid)[:, : grid.nx // 2 + 1], s=grid.shape, norm="ortho")
+    half = scipy.fft.rfft2(0.5 * u * u, norm="ortho")
     edges = half[:, :: grid.nx // 2]
     edges[...] = 0.5 * (edges + hermitian_reflect(edges))
     return _full_dealias(hermitian_complete(half, grid.nx), grid) * (1j * grid.xi_mesh[:1])
