@@ -5,7 +5,6 @@ from .grid import SpectralGrid, make_grid
 from .dispersion import (
     DispersionParams,
     KPSign,
-    ZeroModePolicy,
     dispersion_omega,
     gradient_omega,
     omega_on_grid,
@@ -53,7 +52,6 @@ __all__ = [
     "make_grid",
     "DispersionParams",
     "KPSign",
-    "ZeroModePolicy",
     "dispersion_omega",
     "gradient_omega",
     "omega_on_grid",

@@ -2,8 +2,8 @@
 
 The symbol is ``omega(xi, mu) = sign*xi**5 - alpha*xi**3 + mu**2/xi`` with
 ``sign = +1`` for the KP-I branch and ``-1`` for KP-II.  It is singular on
-``xi = 0``; the zero-mode policy decides whether that line is projected away
-or treated as an error.
+``xi = 0``: kp5 works with zero x-mean data, so that line is projected away
+(``symbols.zero_mode_project``) and the symbol is held at 0 there.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from .grid import SpectralGrid, _take
 
 __all__ = [
     "KPSign",
-    "ZeroModePolicy",
     "DispersionParams",
     "dispersion_omega",
     "gradient_omega",
@@ -32,24 +31,16 @@ class KPSign(enum.Enum):
     KP2 = "kp2"
 
 
-class ZeroModePolicy(enum.Enum):
-    PROJECT_OUT = "project_out"
-    ERROR = "error"
-
-
 @dataclass(frozen=True)
 class DispersionParams:
-    """KP branch selector, third-derivative coefficient, and zero-mode policy."""
+    """KP branch selector and third-derivative coefficient."""
 
     kp_sign: KPSign = KPSign.KP1
     alpha: float = 0.0
-    zero_mode: ZeroModePolicy = ZeroModePolicy.PROJECT_OUT
 
     def __post_init__(self) -> None:
         if not isinstance(self.kp_sign, KPSign):
             raise ValueError(f"kp_sign must be a KPSign, got {self.kp_sign!r}")
-        if not isinstance(self.zero_mode, ZeroModePolicy):
-            raise ValueError(f"zero_mode must be a ZeroModePolicy, got {self.zero_mode!r}")
         if not np.isfinite(self.alpha):
             raise ValueError(f"alpha must be finite, got {self.alpha!r}")
 
@@ -62,8 +53,8 @@ def dispersion_omega(xi, mu, params: DispersionParams):
     """Evaluate ``sign*xi**5 - alpha*xi**3 + mu**2/xi``.
 
     Scalars and same-shaped arrays are both accepted.  The scalar point
-    ``(0, 0)`` returns 0 under the project-out policy; any other xi = 0
-    evaluation raises ``SingularSymbolError``.
+    ``(0, 0)`` returns 0, the value on the projected-away line; any other
+    xi = 0 evaluation raises ``SingularSymbolError``.
     """
     xi_a = np.asarray(xi, dtype=float)
     mu_a = np.asarray(mu, dtype=float)
@@ -71,11 +62,9 @@ def dispersion_omega(xi, mu, params: DispersionParams):
         x = float(xi_a)
         m = float(mu_a)
         if x == 0.0:
-            if m == 0.0 and params.zero_mode is ZeroModePolicy.PROJECT_OUT:
+            if m == 0.0:
                 return 0.0
-            raise SingularSymbolError(
-                f"dispersion symbol is singular at xi=0 (mu={m!r}, policy={params.zero_mode.value})"
-            )
+            raise SingularSymbolError(f"dispersion symbol is singular at xi=0 (mu={m!r})")
         return params.sign * x**5 - params.alpha * x**3 + m * m / x
     if np.any(xi_a == 0.0):
         raise SingularSymbolError("array evaluation hit xi=0; use omega_on_grid for lattices")
@@ -111,8 +100,8 @@ def _omega_lattice(grid: SpectralGrid, params: DispersionParams) -> np.ndarray:
 def omega_on_grid(grid: SpectralGrid, params: DispersionParams) -> np.ndarray:
     """Symbol values on the (ny, nx) lattice with the xi = 0 line set to zero.
 
-    Content on that line, if any, is the caller's responsibility: project-out
-    callers zero the coefficients, error-policy callers must check first.
+    Callers zero the coefficients on that line (``zero_mode_project``) before
+    applying the symbol.
     The xi Nyquist column is also held at zero: that column is its own mirror
     under (xi, mu) -> (-xi, -mu), so any nonzero symbol there would break the
     conjugation symmetry the flow needs to keep real data real; the column is

@@ -62,7 +62,7 @@ def resonance(xi1, xi2, mu1, mu2, params: DispersionParams):
             raise SingularFrequencyError(
                 "resonance undefined: xi1+xi2 = 0 with mu1+mu2 != 0"
             )
-        # omega(0, 0) = 0 under project-out, so only the symbol terms remain
+        # omega(0, 0) = 0 (the projected-away line), so only the symbol terms remain
         return -dispersion_omega(float(xi1_a), float(mu1_a), params) - dispersion_omega(
             float(xi2_a), float(mu2_a), params
         )
@@ -99,7 +99,7 @@ def resonance_identity_check(xi1, xi2, mu1, mu2, params: DispersionParams):
         if s.all():
             ref = _omega_extended(s, b1 + b2, params.sign, params.alpha)
         else:  # resonance admits xi1 + xi2 = 0 only as a scalar with mu1 + mu2 = 0
-            ref = np.full_like(s, dispersion_omega(0.0, 0.0, params))  # 0, or the error policy raises
+            ref = np.zeros_like(s)  # omega(0, 0) = 0
         ref -= _omega_extended(a1, b1, params.sign, params.alpha)
         ref -= _omega_extended(a2, b2, params.sign, params.alpha)
         defect[lo : lo + _CHUNK] = np.abs((c - ref).astype(float)) / np.maximum(1.0, np.abs(c))

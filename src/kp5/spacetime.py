@@ -23,7 +23,7 @@ from .errors import UndefinedRatioError
 from .field import Field, _Spectrum
 from .grid import SpectralGrid, _take
 from .norms import NormSpec, _sobolev_weights, bracket
-from .symbols import _policy_project, require_zero_x_mean
+from .symbols import require_zero_x_mean, zero_mode_project
 
 __all__ = [
     "SpaceTimeField",
@@ -142,7 +142,7 @@ def sample_linear_flow(
 ) -> SpaceTimeField:
     """Sample the exact linear flow of ``phi`` on the periodic time window."""
     omega = omega_on_grid(phi.grid, params)
-    data = _policy_project(phi, params).data
+    data = zero_mode_project(phi).data
     times = _sample_times(nt, t_window)
     spatial = data[None, :, :] * np.exp(-1j * times[:, None, None] * omega[None, :, :])
     spec = scipy.fft.ifft(spatial, axis=0, norm="ortho")
@@ -184,24 +184,20 @@ def modulation_project(
     u: SpaceTimeField,
     j: int,
     params: DispersionParams,
-    variant: str = "modulus",
     weight: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> SpaceTimeField:
-    """Multiply the spectrum by the dyadic shell eta_j(tau - omega).
+    """Multiply the spectrum's modulus by the dyadic shell eta_j(tau - omega).
 
-    ``variant="modulus"`` discards coefficient phases before weighting (the
-    form the shell estimates are stated for); ``variant="keep_phase"`` is the
-    plain projection.  A precomputed ``weight`` is as for
+    Coefficient phases are discarded before weighting, the form the shell
+    estimates are stated for.  A precomputed ``weight`` is as for
     ``random_modulation_shell``; only its columns are weighted, the rest of
     the returned lattice is zero.
     """
-    if variant not in ("modulus", "keep_phase"):
-        raise ValueError(f"variant must be 'modulus' or 'keep_phase', got {variant!r}")
     require_zero_x_mean(u, "modulation projection")
     columns, block = _shell_weight(u.grid, u.nt, u.t_window, params, j) if weight is None else weight
     part = u.data[:, :, columns]
     # a modulus product stays real until the scatter widens it (imaginary parts +0)
-    coeffs = block * (np.abs(part) if variant == "modulus" else part)
+    coeffs = block * np.abs(part)
     return SpaceTimeField(u.grid, u.nt, u.t_window, _on_columns(coeffs, columns, u.grid.nx))
 
 
@@ -218,7 +214,6 @@ def strichartz_ratio(
     r: float,
     T: float,
     params: DispersionParams,
-    variant: str = "modulus",
     weight: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> float:
     """Mixed-norm smoothing ratio of the j-th modulation shell of ``u``:
@@ -238,7 +233,7 @@ def strichartz_ratio(
 
     if weight is None:
         weight = _shell_weight(u.grid, u.nt, u.t_window, params, j)
-    fj = modulation_project(u, j, params, variant=variant, weight=weight)
+    fj = modulation_project(u, j, params, weight=weight)
     l2 = fj.l2_norm() * np.sqrt(fj.cell_volume)
     if l2 == 0.0:
         raise UndefinedRatioError(f"modulation shell j={j} of the field is empty")

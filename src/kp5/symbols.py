@@ -4,11 +4,11 @@
 evaluated on the wavenumber lattice.  Multipliers that are finite on the
 xi = 0 line (identity, i*xi, bracket weights) act there as usual; multipliers
 singular on that line (1/(i*xi) and everything built from the dispersion
-symbol) are resolved by the zero-mode policy: project-out writes zeros,
-the error policy rejects fields that still carry xi = 0 content.  The
-reality flag survives exactly when ``m(-xi, -mu) == conj(m(xi, mu))`` on the
-modes the field populates; a reality-flagged field then stays backed by its
-stored half spectrum, and the masks act on that half as well.
+symbol) write zeros there, the one xi = 0 rule that ``zero_mode_project``
+also applies.  The reality flag survives exactly when
+``m(-xi, -mu) == conj(m(xi, mu))`` on the modes the field populates; a
+reality-flagged field then stays backed by its stored half spectrum, and the
+masks act on that half as well.
 """
 
 from __future__ import annotations
@@ -17,8 +17,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dispersion import DispersionParams, ZeroModePolicy
-from .errors import SingularSymbolError, SymbolEvaluationError, ZeroMassViolationError
+from .errors import SymbolEvaluationError, ZeroMassViolationError
 from .field import Field, _mirror, is_hermitian
 from .grid import SpectralGrid
 
@@ -41,10 +40,10 @@ def has_zero_x_mean(f) -> bool:
     return not f.x_mean_content() > _ZERO_LINE_TOL
 
 
-def require_zero_x_mean(f, what: str = "operation", error_cls=ZeroMassViolationError) -> None:
-    """Raise ``error_cls`` unless ``has_zero_x_mean(f)``."""
+def require_zero_x_mean(f, what: str = "operation") -> None:
+    """Raise ``ZeroMassViolationError`` unless ``has_zero_x_mean(f)``."""
     if not has_zero_x_mean(f):
-        raise error_cls(f"{what} requires zero x-mean but the xi=0 line carries content")
+        raise ZeroMassViolationError(f"{what} requires zero x-mean but the xi=0 line carries content")
 
 
 def _evaluate_multiplier(grid: SpectralGrid, m: Callable) -> np.ndarray:
@@ -75,10 +74,10 @@ def _symmetric_where_populated(values: np.ndarray, stored: np.ndarray, nx: int) 
     return not stored[:, asymmetric if asymmetric.size > 1 else slice(None)].any()
 
 
-def apply_symbol(f: Field, m: Callable, params: DispersionParams | None = None) -> Field:
-    """Multiply spectral coefficients of ``f`` pointwise by ``m(xi, mu)``."""
+def apply_symbol(f: Field, m: Callable) -> Field:
+    """Multiply spectral coefficients of ``f`` pointwise by ``m(xi, mu)``;
+    where ``m`` is singular only on the xi = 0 line it acts as zero there."""
     grid = f.grid
-    policy = params.zero_mode if params is not None else ZeroModePolicy.PROJECT_OUT
     values = _evaluate_multiplier(grid, m)
 
     if not np.all(np.isfinite(values)):
@@ -91,9 +90,6 @@ def apply_symbol(f: Field, m: Callable, params: DispersionParams | None = None) 
             raise SymbolEvaluationError(
                 f"multiplier not finite at lattice point xi={grid.xi[ix]!r}, mu={grid.mu[iy]!r}"
             )
-        # singular only on the xi = 0 line: resolve by zero-mode policy
-        if policy is ZeroModePolicy.ERROR:
-            require_zero_x_mean(f, "singular multiplier under the error policy", SingularSymbolError)
         values = values.copy()
         values[:, 0][bad[:, 0]] = 0.0
 
@@ -113,13 +109,6 @@ def zero_mode_project(f: Field) -> Field:
     return Field._from_stored(f.grid, data, f.reality)
 
 
-def _policy_project(f: Field, params: DispersionParams) -> Field:
-    """``zero_mode_project(f)``; the error policy rejects xi = 0 content instead."""
-    if params.zero_mode is ZeroModePolicy.ERROR:
-        require_zero_x_mean(f, "the error zero-mode policy", SingularSymbolError)
-    return zero_mode_project(f)
-
-
 def dealias(f: Field) -> Field:
     """2/3-rule truncation: zero coefficients with |k| > nx/3 or |l| > ny/3."""
     mask = f.grid.dealias_mask[:, : f._stored.shape[1]]
@@ -132,6 +121,6 @@ def x_derivative(f: Field) -> Field:
     return apply_symbol(f, lambda xi, mu: 1j * xi[:1])
 
 
-def x_antiderivative(f: Field, params: DispersionParams | None = None) -> Field:
-    """Spectral inverse of d/dx (multiplier 1/(i*xi)); xi = 0 resolved by policy."""
-    return apply_symbol(f, lambda xi, mu: 1.0 / (1j * xi[:1]), params)
+def x_antiderivative(f: Field) -> Field:
+    """Spectral inverse of d/dx (multiplier 1/(i*xi)); zero on the xi = 0 line."""
+    return apply_symbol(f, lambda xi, mu: 1.0 / (1j * xi[:1]))

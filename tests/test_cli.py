@@ -266,9 +266,8 @@ def test_a_non_finite_dump_is_a_format_error(tmp_path, capsys, command, value):
 
 @pytest.mark.parametrize("command", ["simulate", "picard"])
 def test_zero_mode_is_not_a_config_key(tmp_path, capsys, command):
-    """The zero-mode policy is a library ``DispersionParams`` field: both
-    solvers reject xi = 0 content under either policy and then project once,
-    so a run config has nothing to choose."""
+    """kp5 has one xi = 0 rule: both solvers reject xi = 0 content above the
+    tolerance and then project once, so a run config has nothing to choose."""
     dispersion = {"kp_sign": "kp1", "alpha": 1.0, "zero_mode": "error"}
     cfg = _write_config(tmp_path / "cfg.json", dispersion=dispersion)
     out = tmp_path / "never"

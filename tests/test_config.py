@@ -7,7 +7,7 @@ import pytest
 
 import kp5.config
 
-from kp5 import GaussianData, KPSign, ModeSumData, RandomShellData, ZeroModePolicy, load_config, parse_config
+from kp5 import GaussianData, KPSign, ModeSumData, RandomShellData, load_config, parse_config
 from kp5.errors import ConfigError
 
 
@@ -23,7 +23,6 @@ def test_minimal_document_defaults():
     assert cfg.grid.nx == 16
     assert cfg.dispersion.kp_sign is KPSign.KP1
     assert cfg.dispersion.alpha == 0.0
-    assert cfg.dispersion.zero_mode is ZeroModePolicy.PROJECT_OUT
     assert cfg.solver.picard_max_iters == 25
     assert cfg.solver.quadrature_nodes == 2
     assert cfg.solver.cutoff_T == 0.5

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kp5 import DispersionParams, KPSign, ZeroModePolicy, dispersion_omega, gradient_omega, omega_on_grid
+from kp5 import DispersionParams, KPSign, dispersion_omega, gradient_omega, omega_on_grid
 from kp5.errors import SingularSymbolError
 
 
@@ -20,16 +20,19 @@ def test_omega_values(xi, mu, sign, alpha, expected):
     assert dispersion_omega(xi, mu, params) == pytest.approx(expected, abs=1e-15)
 
 
-def test_omega_zero_mode_policy():
-    project = DispersionParams(zero_mode=ZeroModePolicy.PROJECT_OUT)
-    error = DispersionParams(zero_mode=ZeroModePolicy.ERROR)
-    assert dispersion_omega(0.0, 0.0, project) == 0.0
+def test_omega_on_the_zero_line():
+    params = DispersionParams()
+    assert dispersion_omega(0.0, 0.0, params) == 0.0
+    # asked directly at xi=0, mu!=0 the symbol signals
     with pytest.raises(SingularSymbolError):
-        dispersion_omega(0.0, 0.0, error)
-    # asked directly at xi=0, mu!=0 the symbol always signals
-    for params in (project, error):
-        with pytest.raises(SingularSymbolError):
-            dispersion_omega(0.0, 1.0, params)
+        dispersion_omega(0.0, 1.0, params)
+    with pytest.raises(SingularSymbolError):
+        dispersion_omega(np.array([0.0, 1.0]), np.array([0.0, 1.0]), params)
+
+
+def test_the_zero_mode_keyword_is_gone():
+    with pytest.raises(TypeError):
+        DispersionParams(zero_mode="error")
 
 
 def test_omega_is_odd():

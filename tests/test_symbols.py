@@ -4,18 +4,19 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from kp5 import (
-    DispersionParams,
     Field,
-    ZeroModePolicy,
     apply_symbol,
     dealias,
+    linear_propagate,
     make_grid,
+    sample_linear_flow,
+    step_splitstep,
     x_antiderivative,
     x_derivative,
     zero_mode_project,
 )
 from kp5 import symbols
-from kp5.errors import SingularSymbolError, SymbolEvaluationError
+from kp5.errors import SymbolEvaluationError
 from kp5.field import is_hermitian
 
 
@@ -60,15 +61,27 @@ def test_nonfinite_multiplier_names_lattice_point(grid16):
     assert "xi=" in str(err.value) and "mu=" in str(err.value)
 
 
-def test_singular_line_under_error_policy(grid16):
-    params = DispersionParams(zero_mode=ZeroModePolicy.ERROR)
-    carries = Field.single_mode(grid16, 0, 2)  # xi=0, mu!=0 content
-    with pytest.raises(SingularSymbolError):
-        apply_symbol(carries, lambda xi, mu: 1.0 / (1j * xi), params)
-    # without content on the line the same multiplier is fine
-    clean = Field.single_mode(grid16, 1, 2)
-    out = apply_symbol(clean, lambda xi, mu: 1.0 / (1j * xi), params)
-    assert out.l2_norm() == pytest.approx(1.0)
+def test_every_entry_point_zeroes_the_xi0_line_as_the_projection_does(grid16, kp1_alpha1):
+    """One rule for xi = 0: a field that carries content there gives, bit for
+    bit, the result of its projection, with the line exactly zero."""
+    rng = np.random.default_rng(7)
+    clean = zero_mode_project(Field.from_physical(grid16, rng.standard_normal(grid16.shape)))
+    f = clean + Field.single_mode(grid16, 0, 1)
+    assert not symbols.has_zero_x_mean(f)
+    projected = zero_mode_project(f)
+    entry_points = {
+        "linear_propagate": lambda g: [linear_propagate(g, 0.1, kp1_alpha1)],
+        "step_splitstep": lambda g: [step_splitstep(g, 1e-3, kp1_alpha1)],
+        "sample_linear_flow": lambda g: list(sample_linear_flow(g, 8, 2 * np.pi, kp1_alpha1).slices()),
+        "apply_symbol": lambda g: [apply_symbol(g, lambda xi, mu: 1.0 / (1j * xi))],
+        "x_antiderivative": lambda g: [x_antiderivative(g)],
+    }
+    for name, run in entry_points.items():
+        got, expected = run(f), run(projected)
+        assert len(got) == len(expected)
+        for out, ref in zip(got, expected):
+            assert np.array_equal(out.data, ref.data), name
+            assert np.all(out.data[:, 0] == 0.0), name
 
 
 def test_reality_flag_follows_conjugation_symmetry(grid16):
