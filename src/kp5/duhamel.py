@@ -94,15 +94,13 @@ def duhamel_picard(
 ) -> PicardResult:
     """Iterate the cutoff integral equation to its fixed point.
 
-    ``phi`` must be reality-flagged: the iterate lives on the half spectrum.
+    The iterate lives on the half spectrum of the real field ``phi``.
     Time nodes are ``j*h`` with ``h = dt/(quadrature_nodes - 1)``, so each
     solver step carries ``quadrature_nodes`` trapezoid nodes.  Returns the
     final iterate as a trajectory over the fine grid plus the distance
     sequence; raises ``ContractionFailureError`` when the distances grow for
     two consecutive iterations.
     """
-    if not phi.reality:
-        raise ValueError("the fixed-point iteration takes real data; phi is flagged complex")
     require_zero_x_mean(phi, what="fixed-point iteration")
     grid = phi.grid
     sub = cfg.quadrature_nodes - 1
@@ -176,7 +174,7 @@ def duhamel_picard(
         increases = increases + 1 if grew else 0
 
     del new, phase_fwd
-    states = tuple(Field.from_spectral(grid, hermitian_complete(s, grid.nx), reality=True) for s in u)
+    states = tuple(Field.from_spectral(grid, hermitian_complete(s, grid.nx)) for s in u)
     diagnostics = tuple(
         _diagnostics_record(float(t[j]), states[j], params.alpha, monitors)
         for j in range(n_nodes)

@@ -102,8 +102,9 @@ class Trajectory:
 
 def linear_propagate(f: Field, t: float, params: DispersionParams) -> Field:
     """Exact linear flow: multiply projected coefficients by exp(-i*t*omega(xi, mu))."""
-    phase = np.exp(-1j * t * omega_on_grid(f.grid, params))
-    return Field(f.grid, zero_mode_project(f).data * phase, f.reality)
+    stored = zero_mode_project(f)._stored
+    phase = np.exp(-1j * t * omega_on_grid(f.grid, params)[:, : stored.shape[1]])
+    return Field._from_stored(f.grid, stored * phase)
 
 
 def linear_trajectory(
@@ -120,7 +121,7 @@ def nonlinear_rhs(f: Field) -> Field:
 
     The x-derivative forces exact zeros on the xi = 0 line, so the output has
     zero x-mean by construction.  Truncation happens before differentiation,
-    which keeps the asymmetric Nyquist column empty and the field real.
+    which keeps the Nyquist column, where i*xi is asymmetric, empty.
     """
     u = dealias(f).to_physical()
     # 1/2 is a power of two: folded into the square it changes no coefficient's value
@@ -131,18 +132,18 @@ def _step_with_phase(f: Field, half_phase: np.ndarray, dt: float) -> Field:
     # Callers project ``f`` once; its xi = 0 line then stays +0.0 in every later
     # state, as ``half_phase`` is 1 - 0j there (omega_on_grid is 0 on the line)
     # and ``nonlinear_rhs`` multiplies the line by 1j*0: no re-projection is due.
-    # Stored arrays (the half spectrum of a real field; nonlinear_rhs keeps it
-    # real) in the Field operators' operand order: the bits of half - (0.5*dt)*k1.
-    grid, reality = f.grid, f.reality
+    # Stored half spectra in the Field operators' operand order: the bits of
+    # half - (0.5*dt)*k1.
+    grid = f.grid
     phase = half_phase[:, : f._stored.shape[1]]
     half = f._stored * phase
-    k1 = nonlinear_rhs(Field._from_stored(grid, half, reality))
+    k1 = nonlinear_rhs(Field._from_stored(grid, half))
     mid = np.multiply(k1._stored, complex(0.5 * dt))
     np.subtract(half, mid, out=mid)
-    out = np.multiply(nonlinear_rhs(Field._from_stored(grid, mid, reality))._stored, complex(dt))
+    out = np.multiply(nonlinear_rhs(Field._from_stored(grid, mid))._stored, complex(dt))
     np.subtract(half, out, out=out)
     np.multiply(out, phase, out=out)
-    out = Field._from_stored(grid, out, reality)
+    out = Field._from_stored(grid, out)
     if not out.is_finite():
         raise BlowUpError("non-finite samples after split step")
     return out

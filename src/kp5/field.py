@@ -2,7 +2,7 @@
 
 ``Field.data`` holds the unitary-normalized Fourier coefficients on the
 ``(ny, nx)`` lattice; the physical representation is recovered on demand.
-A reality-flagged field may hold only its stored columns ``0..nx//2``; the
+Every field is real: it is backed by its stored columns ``0..nx//2``, and the
 other columns, their Hermitian mirrors, are built on the first ``data`` read.
 Fields are immutable: every operation returns a new value and the backing
 arrays are write-locked, so fields may be shared freely between threads (two
@@ -88,36 +88,30 @@ def _x_mean_content(data: np.ndarray) -> float:
 
 
 class Field(_Spectrum):
-    """Spectral coefficients of one scalar field on a shared grid.
+    """Spectral coefficients of one real scalar field on a shared grid.
 
-    ``_stored`` holds columns ``0..nx//2`` of a reality-flagged field and the
-    whole lattice of a complex one.  The stored half is authoritative, as for
-    ``to_physical``: arithmetic and multipliers read only that half, so a
-    Hermitian defect that a raw ``Field(grid, data, reality=True)`` carries
-    in ``data``'s other columns does not reach the fields derived from it.
+    ``_stored`` holds columns ``0..nx//2``.  The stored half is authoritative,
+    as for ``to_physical``: arithmetic and multipliers read only that half, so
+    a Hermitian defect that a raw ``Field(grid, data)`` carries in ``data``'s
+    other columns does not reach the fields derived from it.
     """
 
     grid: SpectralGrid
-    reality: bool
 
-    def __init__(self, grid: SpectralGrid, data: np.ndarray, reality: bool = True) -> None:
+    def __init__(self, grid: SpectralGrid, data: np.ndarray) -> None:
         if data.shape != grid.shape:
             raise ValueError(f"data shape {data.shape} != grid shape {grid.shape}")
         if data.dtype != np.complex128:
             raise ValueError(f"spectral data must be complex128, got {data.dtype}")
         data = _take(data)
-        stored = data[:, : grid.nx // 2 + 1] if reality else data
-        self.__dict__.update(grid=grid, reality=reality, _stored=stored, _full=data)
+        self.__dict__.update(grid=grid, _stored=data[:, : grid.nx // 2 + 1], _full=data)
 
     @classmethod
-    def _from_stored(cls, grid: SpectralGrid, stored: np.ndarray, reality: bool) -> "Field":
-        """Take ownership of a stored array: the ``(ny, nx//2 + 1)`` half of a
-        reality-flagged field, whose full lattice is built only when ``data``
-        is read, or the whole lattice of a complex one."""
-        if not reality:
-            return cls(grid, stored, reality=False)
+    def _from_stored(cls, grid: SpectralGrid, stored: np.ndarray) -> "Field":
+        """Take ownership of a stored ``(ny, nx//2 + 1)`` half spectrum; the
+        full lattice is built only when ``data`` is read."""
         f = cls.__new__(cls)
-        f.__dict__.update(grid=grid, reality=True, _stored=_take(stored), _full=None)
+        f.__dict__.update(grid=grid, _stored=_take(stored), _full=None)
         return f
 
     def __setattr__(self, name, value=None):
@@ -126,7 +120,7 @@ class Field(_Spectrum):
     __delattr__ = __setattr__
 
     def __repr__(self) -> str:
-        return f"Field(grid={self.grid!r}, reality={self.reality!r})"
+        return f"Field(grid={self.grid!r})"
 
     @property
     def data(self) -> np.ndarray:
@@ -142,49 +136,45 @@ class Field(_Spectrum):
 
     @classmethod
     def zeros(cls, grid: SpectralGrid) -> "Field":
-        return cls(grid, np.zeros(grid.shape, dtype=np.complex128), reality=True)
+        return cls(grid, np.zeros(grid.shape, dtype=np.complex128))
 
     @classmethod
     def from_physical(cls, grid: SpectralGrid, samples: np.ndarray) -> "Field":
-        """Transform physical samples (indexed [iy, ix]) to spectral storage."""
+        """Transform real physical samples (indexed [iy, ix]) to spectral storage."""
         samples = np.asarray(samples)
         if samples.shape != grid.shape:
             raise ValueError(f"sample shape {samples.shape} != grid shape {grid.shape}")
         if np.iscomplexobj(samples):
-            return cls(grid, scipy.fft.fft2(samples.astype(np.complex128), norm="ortho"), reality=False)
+            raise ValueError(f"a Field holds a real field; got {samples.dtype} samples")
         half = scipy.fft.rfft2(samples.astype(np.float64, copy=False), norm="ortho")
         edges = half[:, :: grid.nx // 2]  # xi = 0 and Nyquist: Hermitian to rounding, made exactly so
         edges[...] = 0.5 * (edges + _mirror(edges, np.empty_like(edges)))
-        return cls._from_stored(grid, half, reality=True)
+        return cls._from_stored(grid, half)
 
     @classmethod
-    def from_spectral(
-        cls, grid: SpectralGrid, coeffs: np.ndarray, reality: bool | None = None
-    ) -> "Field":
-        """Wrap a copy of spectral coefficients; reality is auto-detected when not given."""
-        coeffs = np.array(coeffs, dtype=np.complex128, copy=True)
-        if reality is None:
-            reality = is_hermitian(coeffs)
-        return cls(grid, coeffs, reality=bool(reality))
+    def from_spectral(cls, grid: SpectralGrid, coeffs: np.ndarray) -> "Field":
+        """Wrap a copy of the spectral coefficients of a real field; raises
+        ``ValueError`` unless they are conjugation-symmetric (``is_hermitian``)."""
+        f = cls(grid, np.array(coeffs, dtype=np.complex128, copy=True))
+        if not is_hermitian(f.data):
+            raise ValueError("coefficients not conjugation-symmetric: not the spectrum of a real field")
+        return f
 
     @classmethod
     def single_mode(cls, grid: SpectralGrid, k: int, l: int, amplitude: complex = 1.0) -> "Field":
-        """Field with one spectral coefficient set; reality auto-detected."""
+        """The real mode: ``amplitude`` at (k, l) and its conjugate at (-k, -l).
+        A mode that is its own mirror needs a real amplitude."""
+        iy, ix = grid.index_of_mode(k, l)
         coeffs = np.zeros(grid.shape, dtype=np.complex128)
-        coeffs[grid.index_of_mode(k, l)] = amplitude
+        coeffs[-iy % grid.ny, -ix % grid.nx] = np.conj(amplitude)
+        coeffs[iy, ix] = amplitude
         return cls.from_spectral(grid, coeffs)
 
     # -- representations -----------------------------------------------------
 
     def to_physical(self) -> np.ndarray:
-        """Physical samples; real-valued array when the reality flag is set."""
-        if self.reality:
-            return scipy.fft.irfft2(self._stored, s=self.grid.shape, norm="ortho")
-        return scipy.fft.ifft2(self._stored, norm="ortho")
-
-    def reality_defect(self) -> float:
-        """Max |c(k,l) - conj(c(-k,-l))| over the lattice."""
-        return _defect(self.data)
+        """Real physical samples, from the stored half spectrum."""
+        return scipy.fft.irfft2(self._stored, s=self.grid.shape, norm="ortho")
 
     # -- norms and reductions --------------------------------------------------
 
@@ -207,9 +197,7 @@ class Field(_Spectrum):
 
     def _combine(self, other: "Field", op) -> "Field":
         self._check_same_grid(other)
-        if self.reality and other.reality:
-            return Field._from_stored(self.grid, op(self._stored, other._stored), True)
-        return Field(self.grid, op(self.data, other.data), False)
+        return Field._from_stored(self.grid, op(self._stored, other._stored))
 
     def __add__(self, other: "Field") -> "Field":
         return self._combine(other, np.add)
@@ -219,11 +207,11 @@ class Field(_Spectrum):
 
     def __mul__(self, scalar) -> "Field":
         s = complex(scalar)
-        if self.reality and s.imag != 0.0:
-            return Field(self.grid, self.data * s, False)
-        return Field._from_stored(self.grid, self._stored * s, self.reality)
+        if s.imag != 0.0:
+            raise ValueError(f"a Field scales by real scalars only, got {scalar!r}")
+        return Field._from_stored(self.grid, self._stored * s)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "Field":
-        return Field._from_stored(self.grid, -self._stored, self.reality)
+        return Field._from_stored(self.grid, -self._stored)

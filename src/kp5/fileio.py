@@ -71,14 +71,12 @@ def atomic_writer(path):
 
 
 def write_field(path, field: Field, time: float = 0.0) -> None:
-    """Dump the physical samples of a real field in the KP5F layout."""
-    if not field.reality:
-        raise FormatError("KP5F stores real fields; the reality flag is unset")
+    """Dump the physical samples of a field in the KP5F layout."""
     grid = field.grid
     header = _HEADER.pack(
         KP5F_MAGIC, KP5F_VERSION, grid.nx, grid.ny, grid.lx, grid.ly, float(time)
     )
-    samples = np.ascontiguousarray(field.to_physical().real, dtype="<f8")
+    samples = np.ascontiguousarray(field.to_physical(), dtype="<f8")
     with atomic_writer(path) as fh:
         fh.write(header)
         fh.write(samples.tobytes())

@@ -87,7 +87,7 @@ def _random_shell(grid: SpectralGrid, spec: RandomShellData) -> Field:
         raise ConfigError(f"initial_data.shell: shell {spec.shell} has no lattice point off xi = 0")
     raw = (rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)) * weight
     coeffs = 0.5 * (raw + hermitian_reflect(raw))
-    return Field.from_spectral(grid, coeffs, reality=True)
+    return Field.from_spectral(grid, coeffs)
 
 
 def _from_file(grid: SpectralGrid, spec: FileData) -> Field:
@@ -101,15 +101,20 @@ def _from_file(grid: SpectralGrid, spec: FileData) -> Field:
 
 def make_initial_data(grid: SpectralGrid, spec) -> Field:
     """Build deterministic initial data from a generator spec and project out
-    the zero mode."""
-    if isinstance(spec, GaussianData):
-        raw = _gaussian(grid, spec)
-    elif isinstance(spec, ModeSumData):
-        raw = _mode_sum(grid, spec)
-    elif isinstance(spec, RandomShellData):
-        raw = _random_shell(grid, spec)
-    elif isinstance(spec, FileData):
-        raw = _from_file(grid, spec)
-    else:
-        raise ConfigError(f"unknown initial-data spec {spec!r}")
+    the zero mode.  Data that overflows to a non-finite value is a
+    ``ConfigError``, not a field."""
+    # an overflow is reported below, as a config error, not as a numpy warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        if isinstance(spec, GaussianData):
+            raw = _gaussian(grid, spec)
+        elif isinstance(spec, ModeSumData):
+            raw = _mode_sum(grid, spec)
+        elif isinstance(spec, RandomShellData):
+            raw = _random_shell(grid, spec)
+        elif isinstance(spec, FileData):
+            raw = _from_file(grid, spec)
+        else:
+            raise ConfigError(f"unknown initial-data spec {spec!r}")
+    if not raw.is_finite():
+        raise ConfigError("initial_data: the generated field overflows to a non-finite value")
     return zero_mode_project(raw)

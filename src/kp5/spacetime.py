@@ -132,7 +132,8 @@ class SpaceTimeField(_Spectrum):
         return scipy.fft.ifft2(spatial, axes=(1, 2), norm="ortho")
 
     def slices(self) -> tuple[Field, ...]:
-        """Single-time fields at each sample time."""
+        """Single-time fields at each sample time; ``Field.from_spectral``
+        raises ``ValueError`` for a slice that is not a real field."""
         spatial = scipy.fft.fft(self.data, axis=0, norm="ortho")
         return tuple(Field.from_spectral(self.grid, spatial[i]) for i in range(self.nt))
 

@@ -5,10 +5,9 @@ evaluated on the wavenumber lattice.  Multipliers that are finite on the
 xi = 0 line (identity, i*xi, bracket weights) act there as usual; multipliers
 singular on that line (1/(i*xi) and everything built from the dispersion
 symbol) write zeros there, the one xi = 0 rule that ``zero_mode_project``
-also applies.  The reality flag survives exactly when
-``m(-xi, -mu) == conj(m(xi, mu))`` on the modes the field populates; a
-reality-flagged field then stays backed by its stored half spectrum, and the
-masks act on that half as well.
+also applies.  A field is real, so a multiplier must satisfy
+``m(-xi, -mu) == conj(m(xi, mu))`` on the modes the field populates; the
+product, like the masks, then acts on the stored half spectrum alone.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import SymbolEvaluationError, ZeroMassViolationError
-from .field import Field, _mirror, is_hermitian
+from .field import Field, _mirror
 from .grid import SpectralGrid
 
 __all__ = [
@@ -76,7 +75,9 @@ def _symmetric_where_populated(values: np.ndarray, stored: np.ndarray, nx: int) 
 
 def apply_symbol(f: Field, m: Callable) -> Field:
     """Multiply spectral coefficients of ``f`` pointwise by ``m(xi, mu)``;
-    where ``m`` is singular only on the xi = 0 line it acts as zero there."""
+    where ``m`` is singular only on the xi = 0 line it acts as zero there.
+    Raises ``SymbolEvaluationError`` when ``m`` breaks conjugation symmetry on
+    a column ``f`` populates, as the product would not be a real field."""
     grid = f.grid
     values = _evaluate_multiplier(grid, m)
 
@@ -93,26 +94,27 @@ def apply_symbol(f: Field, m: Callable) -> Field:
         values = values.copy()
         values[:, 0][bad[:, 0]] = 0.0
 
-    # reality survives iff the multiplier is conjugation-symmetric on every
-    # mode the field populates; the derivative multiplier i*xi is asymmetric
-    # only at the Nyquist column, which dealiased fields leave empty
-    if f.reality and _symmetric_where_populated(values, f._stored, grid.nx):
-        return Field._from_stored(grid, f._stored * values[:, : f._stored.shape[1]], True)
-    out = f.data * values
-    return Field(grid, out, f.reality and is_hermitian(out))
+    # the derivative multiplier i*xi is asymmetric only at the Nyquist column,
+    # which dealiased fields leave empty
+    if not _symmetric_where_populated(values, f._stored, grid.nx):
+        raise SymbolEvaluationError(
+            "multiplier breaks m(-xi, -mu) == conj(m(xi, mu)) on a column the field populates; "
+            "the product would not be a real field"
+        )
+    return Field._from_stored(grid, f._stored * values[:, : f._stored.shape[1]])
 
 
 def zero_mode_project(f: Field) -> Field:
     """Set every xi = 0 coefficient to exactly zero; idempotent bit for bit."""
     data = f._stored.copy()
     data[:, 0] = 0.0
-    return Field._from_stored(f.grid, data, f.reality)
+    return Field._from_stored(f.grid, data)
 
 
 def dealias(f: Field) -> Field:
     """2/3-rule truncation: zero coefficients with |k| > nx/3 or |l| > ny/3."""
     mask = f.grid.dealias_mask[:, : f._stored.shape[1]]
-    return Field._from_stored(f.grid, np.where(mask, f._stored, 0.0 + 0.0j), f.reality)
+    return Field._from_stored(f.grid, np.where(mask, f._stored, 0.0 + 0.0j))
 
 
 # xi-only multipliers are evaluated on one lattice row, which apply_symbol broadcasts

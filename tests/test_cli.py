@@ -288,6 +288,20 @@ def test_a_grid_too_large_to_index_is_a_one_line_config_error(tmp_path, capsys, 
     assert not out.exists() and not (tmp_path / "default-out").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "picard"])
+def test_initial_data_that_overflows_is_a_one_line_config_error(tmp_path, capsys, recwarn, command):
+    """Two amplitudes of 1e308 sum past the largest double: the data is a
+    config error, not a blow-up or a contraction failure."""
+    modes = [[1, 0, 1e308, 0.0], [1, 1, 1e308, 0.0]]
+    cfg = _write_config(tmp_path / "cfg.json", initial_data={"kind": "mode_sum", "modes": modes})
+    out = tmp_path / "never"
+    assert main([command, "--config", str(cfg), "--out", str(out), "--quiet"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: initial_data: ") and err.count("\n") == 1
+    assert not recwarn.list  # no raw numpy overflow warning
+    assert not out.exists() and not (tmp_path / "default-out").exists()
+
+
 # the CSV header of each suite, and a sample count that keeps the run short
 _SUITE_HEADERS = {
     "convolution": ("gamma,a,lhs_bracket,ratio_bracket,lhs_sqrt,ratio_sqrt", 2),

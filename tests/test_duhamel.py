@@ -21,7 +21,6 @@ from kp5.dispersion import omega_on_grid
 from kp5.errors import ContractionFailureError, ZeroMassViolationError
 from kp5.evolution import nonlinear_rhs
 from kp5.field import hermitian_complete
-from kp5.symbols import zero_mode_project
 
 
 def _small_data(grid, l2_target=0.009):
@@ -37,27 +36,27 @@ def _full_lattice_slices(u, grid):
     return np.fft.fft2(phys * phys, axes=(1, 2), norm="ortho") * (0.5j * grid.xi * mask)
 
 
-def _whole_array_picard(phi, cfg, params):
+def _whole_array_picard(coeffs, grid, cfg, params, full=False):
     """The iteration with one pass over all nodes per round, each node array
-    updated in place: the unblocked reference for ``duhamel_picard``.  A real
-    phi iterates on the half spectrum with the module's kernel, a complex one
-    on the full lattice with ``_full_lattice_slices``.  Returns the final
-    iterate, the distances and ``converged``; raises
-    ``ContractionFailureError`` under the same rule."""
-    grid = phi.grid
+    updated in place: the unblocked reference for ``duhamel_picard``, on the
+    plain coefficient array ``coeffs`` of phi.  It iterates on the half
+    spectrum with the module's kernel or, with ``full``, on the whole lattice
+    with ``_full_lattice_slices``.  Returns the final iterate, the distances
+    and ``converged``; raises ``ContractionFailureError`` under the same rule."""
     sub = cfg.quadrature_nodes - 1
     h = cfg.dt / sub
     n_nodes = cfg.n_steps * sub + 1
-    real = phi.reality
-    cols = grid.nx // 2 + 1 if real else grid.nx
-    kernel = duhamel._nonlinear_slices if real else _full_lattice_slices
+    cols = grid.nx if full else grid.nx // 2 + 1
+    kernel = _full_lattice_slices if full else duhamel._nonlinear_slices
     t = np.arange(n_nodes) * h
-    weights = np.full(cols, 2.0 if real else 1.0)
+    weights = np.full(cols, 1.0 if full else 2.0)
     weights[[0, -1]] = 1.0
     phase_fwd = np.exp(-1j * t[:, None, None] * omega_on_grid(grid, params)[None, :, :cols])
     psi = cutoff_psi(t)[:, None, None]
     psi_t = cutoff_psi_T(t, cfg.cutoff_T)[:, None, None]
-    free = psi * (phase_fwd * zero_mode_project(phi).data[:, :cols])
+    projected = coeffs[:, :cols].copy()
+    projected[:, 0] = 0.0
+    free = psi * (phase_fwd * projected)
     u = free.copy()
     new = np.empty_like(u)
     distances = []
@@ -113,7 +112,7 @@ def test_blocked_iteration_is_bit_identical_to_whole_array_loop(
     cols = grid16.nx // 2 + 1
     monkeypatch.setattr(duhamel, "_BLOCK_BYTES", nodes_per_block * 16 * grid16.ny * cols)
     result = duhamel_picard(phi, cfg, params)
-    u, distances, converged = _whole_array_picard(phi, cfg, params)
+    u, distances, converged = _whole_array_picard(phi.data, grid16, cfg, params)
     assert len(result.trajectory.times) == n_steps * (quadrature_nodes - 1) + 1
     assert len(distances) >= 3
     assert result.converged == converged
@@ -191,7 +190,7 @@ def test_contraction_failure_raises_with_advice(kp1_alpha1):
     assert len(err.value.distances) >= 2
     # the blocked loop gives up at the same iteration as the whole-array one
     with pytest.raises(ContractionFailureError) as ref:
-        _whole_array_picard(big, cfg, kp1_alpha1)
+        _whole_array_picard(big.data, grid, cfg, kp1_alpha1)
     assert len(err.value.distances) == len(ref.value.distances)
 
 
@@ -202,16 +201,14 @@ def test_rejects_nonzero_x_mean(grid16, kp1):
 
 
 def test_half_and_full_spectrum_layouts_agree(grid32, kp1_alpha1):
-    """A real phi iterates on nx//2 + 1 columns; the same coefficients
-    flagged complex, iterated on all nx by the full-lattice reference, reach
-    the same fixed point."""
+    """phi iterates on nx//2 + 1 columns; its coefficients, iterated on all
+    nx by the full-lattice reference, reach the same fixed point."""
     phi = _small_data(grid32, l2_target=1.0)
     cfg = SolverConfig(dt=1e-2, t_final=0.2, picard_tol=1e-13, quadrature_nodes=3)
     half = duhamel_picard(phi, cfg, kp1_alpha1)
-    full, distances, converged = _whole_array_picard(Field(grid32, phi.data, reality=False), cfg, kp1_alpha1)
+    full, distances, converged = _whole_array_picard(phi.data, grid32, cfg, kp1_alpha1, full=True)
     assert len(half.distances) == len(distances) >= 3
     assert half.converged and converged
-    assert all(s.reality for s in half.trajectory.states)
     scale = phi.l2_norm()
     for a, b in zip(half.trajectory.states, full, strict=True):
         assert np.max(np.abs(a.data - b)) <= 1e-13 * scale
@@ -249,18 +246,12 @@ def test_picard_accepts_line_content_below_the_tolerance(grid32, sign):
     phi = _small_data(grid32)
     data = phi.data.copy()
     data[0, 0] = 1e-16 * np.max(np.abs(data))  # below the 1e-12 tolerance: accepted, then projected
-    phi = Field(grid32, data, phi.reality)
+    phi = Field(grid32, data)
     cfg = SolverConfig(dt=1e-2, t_final=0.1, quadrature_nodes=3, picard_tol=1e-13)
     result = duhamel_picard(phi, cfg, DispersionParams(kp_sign=sign, alpha=0.5))
     assert result.converged
     for state in result.trajectory.states:
         assert np.all(state.data[:, 0] == 0.0)
-
-
-def test_rejects_complex_data(grid16, kp1):
-    phi = _small_data(grid16)
-    with pytest.raises(ValueError, match="real data"):
-        duhamel_picard(Field(grid16, phi.data, reality=False), SolverConfig(dt=1e-3, t_final=1e-2), kp1)
 
 
 def test_peak_allocation_stays_under_five_node_arrays(grid32, kp1_alpha1):

@@ -82,8 +82,12 @@ def test_propagate_preserves_sobolev_norms(grid32, kp1_alpha1):
 def test_propagate_reality_preserved(grid32, kp1_alpha1):
     f = _random_zero_mean(grid32, 4)
     out = linear_propagate(f, 1e-3, kp1_alpha1)
-    assert out.reality
-    assert out.reality_defect() <= 1e-12
+    assert out.to_physical().dtype == np.float64
+    # the stored half carries the bits of the full-lattice product, the mirrors its values
+    full = f.data * np.exp(-1j * 1e-3 * omega_on_grid(grid32, kp1_alpha1))
+    half = grid32.nx // 2 + 1
+    assert out.data[:, :half].tobytes() == full[:, :half].tobytes()
+    assert np.max(np.abs(out.data - full)) <= 1e-12
 
 
 def test_residual_zero_trajectory(grid16, kp1):
@@ -96,7 +100,8 @@ def test_residual_linear_trajectory_small(grid16, kp1_alpha1):
     mode = Field.single_mode(grid16, 1, 1)
     traj = linear_trajectory(mode, 1e-4, 4, kp1_alpha1)
     omega = dispersion_omega(1.0, 1.0, kp1_alpha1)
-    expected = abs(omega - np.sin(omega * 1e-4) / 1e-4)  # central-difference truncation
+    # central-difference truncation, equal on the mode and its mirror (-1, -1)
+    expected = np.sqrt(2.0) * abs(omega - np.sin(omega * 1e-4) / 1e-4)
     assert residual_check(traj, kp1_alpha1) == pytest.approx(expected, rel=1e-6)
     assert residual_check(traj, kp1_alpha1) < 1e-8
 
@@ -110,8 +115,9 @@ def test_residual_linear_trajectory_kp2(grid16, kp2):
 def test_residual_frozen_field_positive(grid16, kp1):
     mode = Field.single_mode(grid16, 1, 1)
     traj = Trajectory(np.arange(3) * 1e-2, (mode, mode, mode))
-    # stationary non-solution: residual equals |i omega| * amplitude
-    assert residual_check(traj, kp1) == pytest.approx(2.0, rel=1e-12)
+    # stationary non-solution: residual equals |i omega| * amplitude on the mode
+    # and on its mirror (-1, -1)
+    assert residual_check(traj, kp1) == pytest.approx(2.0 * np.sqrt(2.0), rel=1e-12)
 
 
 def test_residual_requires_equal_spacing(grid16, kp1):
@@ -133,9 +139,9 @@ def test_nonlinear_rhs_single_mode_harmonics(grid16):
     nonzero = {
         (grid16.k_signed_x[ix], grid16.k_signed_y[iy]) for iy, ix in zip(*np.nonzero(live))
     }
-    # product of the mode with itself lands on the doubled frequency; the
+    # products of the mode and its mirror land on the doubled frequencies; the
     # xi = 0 line (including the would-be zero mode) is gone
-    assert nonzero == {(2, 2)}
+    assert nonzero == {(2, 2), (-2, -2)}
     assert np.all(out.data[:, 0] == 0.0)
 
 
@@ -147,7 +153,6 @@ def test_nonlinear_rhs_folds_the_half_into_the_square_exactly(n, seed):
     u = f.to_physical()
     composed = x_derivative(dealias(Field.from_physical(grid, u**2))) * 0.5
     out = nonlinear_rhs(f)
-    assert out.reality == composed.reality
     # halving is exact, so every coefficient matches; only the sign of a zero may
     # differ (the trailing complex product sends some -0.0 to +0.0), and adding
     # +0.0 maps both signs to +0.0
@@ -179,7 +184,7 @@ def test_step_projects_its_input_once_to_a_positive_zero_line(grid16, kp1_alpha1
     f = _random_zero_mean(grid16, 3)
     data = f.data.copy()
     data[:, 0] = -0.0
-    out = step_splitstep(Field(grid16, data, f.reality), 1e-3, kp1_alpha1)
+    out = step_splitstep(Field(grid16, data), 1e-3, kp1_alpha1)
     assert not np.any(np.signbit(_line_parts(out)))
 
 
@@ -222,7 +227,7 @@ def test_evolve_stores_its_input_and_holds_the_line_at_positive_zero(sign):
     f0 = make_initial_data(grid, GaussianData(amplitude=0.3, sigma_x=1.0, sigma_y=1.0))
     data = f0.data.copy()
     data[0, 0] = 1e-16 * np.max(np.abs(data))  # below the 1e-12 tolerance: accepted, then projected
-    f0 = Field(grid, data, f0.reality)
+    f0 = Field(grid, data)
     traj = evolve(f0, SolverConfig(dt=1e-3, t_final=0.01), DispersionParams(kp_sign=sign, alpha=0.5))
     assert traj.states[0] is f0  # the input is stored as given
     for state in traj.states[1:]:
@@ -332,7 +337,7 @@ def test_evolve_is_bitwise_the_full_lattice_march(n, sign):
     reference = []
     for i in range(1, cfg.n_steps + 1):
         data = _full_step(data, half_phase, cfg.dt, grid)
-        state = Field(grid, data.copy(), reality=True)
+        state = Field(grid, data.copy())
         record = {"t": i * cfg.dt, "mass": mass(state), "energy": energy_functional(state, params.alpha)}
         record.update((spec.label, sobolev_aniso_norm(state, spec)) for spec in monitors)
         reference.append(record)

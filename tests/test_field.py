@@ -1,5 +1,5 @@
-"""Field transforms: reality-flagged fields go through the real half spectrum,
-complex ones through the full complex transforms."""
+"""Field transforms: every field is real and goes through the real half
+spectrum; complex input is rejected."""
 
 import sys
 import threading
@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 import scipy.fft
 
-from kp5 import Field, make_grid
+from kp5 import DispersionParams, Field, KPSign, SpaceTimeField, apply_symbol, make_grid, sample_linear_flow
+from kp5.errors import SymbolEvaluationError
 from kp5.field import hermitian_complete, hermitian_reflect
 
 shapes = [(4, 4), (6, 8), (10, 16), (34, 36), (64, 64), (128, 64), (128, 128)]
@@ -20,14 +21,18 @@ def _hermitian(rng, shape):
     return 0.5 * (raw + hermitian_reflect(raw))
 
 
+def _defect(data):
+    """max |c(k,l) - conj(c(-k,-l))| over the whole lattice."""
+    return float(np.max(np.abs(data - hermitian_reflect(data))))
+
+
 @pytest.mark.parametrize("ny, nx", shapes)
 @pytest.mark.parametrize("seed", range(3))
 def test_real_samples_give_an_exactly_hermitian_spectrum_and_round_trip(ny, nx, seed):
     grid = make_grid(nx, ny, 3.0, 5.0)
     samples = np.random.default_rng(seed).standard_normal(grid.shape)
     f = Field.from_physical(grid, samples)
-    assert f.reality
-    assert f.reality_defect() == 0.0
+    assert _defect(f.data) == 0.0
     back = f.to_physical()
     assert back.dtype == np.float64
     assert np.max(np.abs(back - samples)) <= 1e-15 * np.max(np.abs(samples))
@@ -35,30 +40,44 @@ def test_real_samples_give_an_exactly_hermitian_spectrum_and_round_trip(ny, nx, 
 
 @pytest.mark.parametrize("ny, nx", shapes)
 @pytest.mark.parametrize("defect", [0.0, 1e-13])
-def test_reality_flagged_fields_invert_like_the_real_part_of_ifft2(ny, nx, defect):
+def test_raw_fields_invert_like_the_real_part_of_ifft2(ny, nx, defect):
     grid = make_grid(nx, ny, 1.0, 1.0)
     rng = np.random.default_rng(nx * ny)
     data = _hermitian(rng, grid.shape)
-    # a raw-constructed field keeps its flag even with a Hermitian defect below the
+    # a raw-constructed field takes data with a Hermitian defect below the
     # 1e-12 tolerance of is_hermitian
     scale = float(np.max(np.abs(data)))
     data += defect * scale * np.exp(2j * np.pi * rng.random(grid.shape))
-    f = Field(grid, data.copy(), reality=True)
-    assert (f.reality_defect() > 0.0) == (defect > 0.0)
-    assert f.reality_defect() <= 3.0 * defect * scale
+    f = Field(grid, data.copy())
+    assert (_defect(f.data) > 0.0) == (defect > 0.0)
+    assert _defect(f.data) <= 3.0 * defect * scale
     reference = np.fft.ifft2(data, norm="ortho").real
     assert np.max(np.abs(f.to_physical() - reference)) <= 1e-12 * np.max(np.abs(data))
 
 
-@pytest.mark.parametrize("ny, nx", shapes)
-def test_complex_samples_keep_the_full_complex_transforms(ny, nx):
-    grid = make_grid(nx, ny, 1.0, 1.0)
-    rng = np.random.default_rng(nx + ny)
-    samples = rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape)
-    f = Field.from_physical(grid, samples)
-    assert not f.reality
-    assert f.data.tobytes() == scipy.fft.fft2(samples, norm="ortho").tobytes()
-    assert f.to_physical().tobytes() == scipy.fft.ifft2(f.data, norm="ortho").tobytes()
+def test_every_input_that_is_not_a_real_field_is_rejected():
+    grid = make_grid(8, 6, 1.0, 1.0)
+    rng = np.random.default_rng(1)
+    real = Field.from_physical(grid, rng.standard_normal(grid.shape))
+    with pytest.raises(ValueError, match="real field"):
+        Field.from_physical(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+    with pytest.raises(ValueError, match="real field"):
+        Field.from_spectral(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+    with pytest.raises(ValueError, match="real field"):
+        Field.single_mode(grid, -4, -3, amplitude=1j)  # (-4, -3) is its own mirror on 8 x 6
+    with pytest.raises(ValueError, match="real scalars"):
+        real * 1j
+    with pytest.raises(ValueError, match="real scalars"):
+        complex(2.0, 0.5) * real
+    with pytest.raises(SymbolEvaluationError, match="real field"):
+        apply_symbol(real, lambda xi, mu: 1.0 + 1j * np.ones_like(xi))
+    # a space-time spectrum of random coefficients has complex time slices
+    coeffs = rng.standard_normal((4,) + grid.shape) + 1j * rng.standard_normal((4,) + grid.shape)
+    with pytest.raises(ValueError, match="real field"):
+        SpaceTimeField(grid, 4, 1.0, coeffs).slices()
+    # the flow of a real field samples real slices
+    flow = sample_linear_flow(real, 4, 1.0, DispersionParams(kp_sign=KPSign.KP1, alpha=0.0))
+    assert all(s.to_physical().dtype == np.float64 for s in flow.slices())
 
 
 def test_a_raw_real_field_takes_its_stored_half_as_authoritative():
@@ -66,14 +85,13 @@ def test_a_raw_real_field_takes_its_stored_half_as_authoritative():
     rng = np.random.default_rng(5)
     data = _hermitian(rng, grid.shape)
     data += 1e-13 * float(np.max(np.abs(data))) * np.exp(2j * np.pi * rng.random(grid.shape))
-    f = Field(grid, data.copy(), reality=True)
+    f = Field(grid, data.copy())
     assert f.data.tobytes() == data.tobytes()  # the lattice it was given, defect and all
-    assert f.reality_defect() > 0.0
+    assert _defect(f.data) > 0.0
     half = data[:, : grid.nx // 2 + 1]
     assert f.to_physical().tobytes() == scipy.fft.irfft2(half, s=grid.shape, norm="ortho").tobytes()
     assert f.x_mean_content() == float(np.max(np.abs(half[:, 0]))) / float(np.max(np.abs(half)))
     for derived, stored in ((-f, -half), (f + f, half + half), (2.0 * f, half * 2.0)):
-        assert derived.reality
         assert derived.data.tobytes() == hermitian_complete(stored, grid.nx).tobytes()
 
 
@@ -83,7 +101,7 @@ def test_half_backed_fields_are_immutable_and_complete_once():
     assert f.data is f.data
     assert not f.data.flags.writeable
     with pytest.raises(FrozenInstanceError):
-        f.reality = False
+        f.grid = grid
     with pytest.raises(FrozenInstanceError):
         del f.grid
 

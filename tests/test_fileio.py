@@ -47,12 +47,6 @@ def test_roundtrip(tmp_path, grid16):
     assert (loaded - f).l2_norm() <= 1e-13 * f.l2_norm()
 
 
-def test_rejects_complex_field(tmp_path, grid16):
-    f = Field.single_mode(grid16, 1, 1)  # not conjugate-symmetric
-    with pytest.raises(FormatError):
-        write_field(tmp_path / "c.kp5f", f)
-
-
 def test_read_rejects_bad_magic(tmp_path):
     path = tmp_path / "bad.kp5f"
     path.write_bytes(b"NOPE" + b"\x00" * 64)

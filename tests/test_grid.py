@@ -101,18 +101,6 @@ def test_plancherel_and_roundtrip_100_random_fields():
         assert np.max(np.abs(f.to_physical() - u)) <= 1e-12 * np.max(np.abs(u))
 
 
-def test_field_reality_detection(grid16):
-    rng = np.random.default_rng(3)
-    real_f = Field.from_physical(grid16, rng.standard_normal(grid16.shape))
-    assert real_f.reality
-    complex_f = Field.from_physical(
-        grid16, rng.standard_normal(grid16.shape) + 1j * rng.standard_normal(grid16.shape)
-    )
-    assert not complex_f.reality
-    # hermitian coefficients auto-detect as real
-    assert Field.from_spectral(grid16, real_f.data).reality
-
-
 def test_field_data_is_write_locked(grid16):
     f = Field.zeros(grid16)
     with pytest.raises(ValueError):

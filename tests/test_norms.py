@@ -33,7 +33,8 @@ def test_sobolev_zero_indices_is_l2(grid16):
 def test_sobolev_single_mode(grid16):
     amp = 0.37
     f = Field.single_mode(grid16, 2, -3, amplitude=amp)
-    expected = amp * bracket(2.0) ** 1.5 * bracket(3.0) ** 0.5
+    # the mode and its mirror (-2, 3) carry equal weights
+    expected = np.sqrt(2.0) * amp * bracket(2.0) ** 1.5 * bracket(3.0) ** 0.5
     assert sobolev_aniso_norm(f, NormSpec(1.5, 0.5)) == pytest.approx(expected, rel=1e-13)
 
 
@@ -52,7 +53,8 @@ def test_sobolev_monotone_in_indices(grid16):
 
 def test_tilde_norm_single_mode(grid16):
     f = Field.single_mode(grid16, 1, 0, amplitude=1.0)
-    assert tilde_norm(f, 2.0, 1.0) == pytest.approx(2.0, rel=1e-13)
+    # weight 2 on the mode and on its mirror (-1, 0)
+    assert tilde_norm(f, 2.0, 1.0) == pytest.approx(2.0 * np.sqrt(2.0), rel=1e-13)
     assert tilde_norm(Field.zeros(grid16), 2.0, 1.0) == 0.0
 
 

@@ -13,19 +13,25 @@ from kp5 import (
     KPSign,
     NormSpec,
     SpaceTimeField,
+    apply_symbol,
     bracket,
     cutoff_psi,
+    dealias,
     dispersion_omega,
     dyadic_eta,
     energy_functional,
     make_grid,
+    nonlinear_rhs,
     resonance,
     sobolev_aniso_norm,
+    step_splitstep,
+    x_antiderivative,
+    x_derivative,
 )
 from kp5.duhamel import _trapezoid_prefix
 from kp5.errors import ZeroMassViolationError
 from kp5.evolution import linear_propagate
-from kp5.field import hermitian_complete, hermitian_reflect, is_hermitian
+from kp5.field import _defect, hermitian_complete, hermitian_reflect, is_hermitian
 from kp5.symbols import _ZERO_LINE_TOL, require_zero_x_mean, zero_mode_project
 
 sizes = st.sampled_from([4, 6, 8, 16])
@@ -37,30 +43,69 @@ def _complex(rng, shape):
     return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
+def _symmetrised(rng, shape):
+    raw = _complex(rng, shape)
+    return 0.5 * (raw + hermitian_reflect(raw))
+
+
 @given(nx=sizes, ny=sizes, seed=seeds)
 def test_zero_mode_project_is_idempotent_and_empties_the_line(nx, ny, seed):
     grid = make_grid(nx, ny, 2 * np.pi, 2 * np.pi)
-    f = Field.from_spectral(grid, _complex(np.random.default_rng(seed), grid.shape))
+    f = Field.from_spectral(grid, _symmetrised(np.random.default_rng(seed), grid.shape))
     once = zero_mode_project(f)
     twice = zero_mode_project(once)
     assert np.all(once.data[:, 0] == 0.0)
     assert once.data.tobytes() == twice.data.tobytes()
     assert np.array_equal(once.data[:, 1:], f.data[:, 1:])
-    assert once.reality == twice.reality == f.reality
 
 
 @given(nx=sizes, ny=sizes, seed=seeds, a=scalars, b=scalars)
 def test_hermitian_symmetrised_spectra_are_real_under_real_arithmetic(nx, ny, seed, a, b):
     grid = make_grid(nx, ny, 2 * np.pi, 2 * np.pi)
     rng = np.random.default_rng(seed)
-    raw = _complex(rng, grid.shape)
-    f = Field.from_spectral(grid, 0.5 * (raw + hermitian_reflect(raw)))
-    raw = _complex(rng, grid.shape)
-    g = Field.from_spectral(grid, 0.5 * (raw + hermitian_reflect(raw)))
-    assert f.reality and g.reality
+    f = Field.from_spectral(grid, _symmetrised(rng, grid.shape))
+    g = Field.from_spectral(grid, _symmetrised(rng, grid.shape))
     for combined in (f + g, f - g, a * f, f * b, a * f - b * g):
-        assert combined.reality
-    assert not (f * complex(a, 1.0)).reality
+        assert is_hermitian(combined.data)
+
+
+@given(
+    nx=sizes,
+    ny=sizes,
+    seed=seeds,
+    a=scalars,
+    t=st.floats(min_value=0.0, max_value=1.0),
+    sign=st.sampled_from(list(KPSign)),
+)
+def test_every_field_operation_returns_a_real_field(nx, ny, seed, a, t, sign):
+    """The reality invariant: each public operation that returns a ``Field``
+    gives a Hermitian spectrum and float64 physical samples."""
+    grid = make_grid(nx, ny, 2 * np.pi, 3 * np.pi)
+    rng = np.random.default_rng(seed)
+    f = Field.from_physical(grid, rng.standard_normal(grid.shape))
+    g = Field.from_physical(grid, rng.standard_normal(grid.shape))
+    # the x-derivatives and the Strang step take dealiased, zero-mean data
+    smooth = dealias(zero_mode_project(f))
+    params = DispersionParams(kp_sign=sign, alpha=1.0)
+    outputs = {
+        "add": f + g,
+        "sub": f - g,
+        "rmul": a * f,
+        "mul": f * a,
+        "neg": -f,
+        "zero_mode_project": zero_mode_project(f),
+        "dealias": dealias(f),
+        "x_derivative": x_derivative(smooth),
+        "x_antiderivative": x_antiderivative(smooth),
+        "apply_symbol": apply_symbol(f, lambda xi, mu: (1.0 + xi**2) ** 0.5 * (1.0 + mu**2)),
+        "linear_propagate": linear_propagate(f, t, params),
+        "step_splitstep": step_splitstep(smooth, 1e-3, params),
+        "nonlinear_rhs": nonlinear_rhs(f),
+        "from_spectral": Field.from_spectral(grid, f.data),
+    }
+    for name, out in outputs.items():
+        assert is_hermitian(out.data), name
+        assert out.to_physical().dtype == np.float64, name
 
 
 even_sizes = st.integers(min_value=2, max_value=32).map(lambda half: 2 * half)
@@ -124,7 +169,7 @@ def test_is_hermitian_reads_half_the_lattice_for_the_full_lattice_verdict(nx, ny
     }[place]
     data[iy, ix] += 10.0**exponent * np.max(np.abs(data)) * np.exp(2j * np.pi * rng.random())
     full_defect = float(np.max(np.abs(data - _roll_reflect(data))))
-    assert Field(make_grid(nx, ny, 1.0, 1.0), data.copy(), reality=False).reality_defect() == full_defect
+    assert _defect(data) == full_defect
     assert is_hermitian(data) == (full_defect <= 1e-12 * float(np.max(np.abs(data))))
 
 
@@ -140,7 +185,7 @@ def test_require_zero_x_mean_raises_exactly_above_the_tolerance(nx, seed, expone
     shape = (4,) + grid.shape if spacetime else grid.shape
     data = _complex(rng, shape)
     data[..., 0] *= 10.0**exponent / np.max(np.abs(data[..., 0]))
-    f = SpaceTimeField(grid, 4, 1.0, data) if spacetime else Field(grid, data, reality=False)
+    f = SpaceTimeField(grid, 4, 1.0, data) if spacetime else Field(grid, data)
     content = f.x_mean_content()
     assume(content != _ZERO_LINE_TOL)
     if content > _ZERO_LINE_TOL:

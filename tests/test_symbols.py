@@ -17,7 +17,7 @@ from kp5 import (
 )
 from kp5 import symbols
 from kp5.errors import SymbolEvaluationError
-from kp5.field import is_hermitian
+from kp5.field import hermitian_reflect
 
 
 def test_identity_multiplier_is_identity(grid16):
@@ -38,12 +38,13 @@ def test_x_derivative_single_mode(grid16):
     out = x_derivative(f)
     iy, ix = grid16.index_of_mode(3, 0)
     assert out.data[iy, ix] == pytest.approx(3.0j, abs=1e-15)
-    assert np.count_nonzero(out.data) == 1
+    assert out.data[-iy, -ix] == pytest.approx(-3.0j, abs=1e-15)  # the mirror (-3, 0)
+    assert np.count_nonzero(out.data) == 2
 
 
 def test_antiderivative_roundtrip(grid16):
     rng = np.random.default_rng(1)
-    f = zero_mode_project(Field.from_physical(grid16, rng.standard_normal(grid16.shape)))
+    f = zero_mode_project(dealias(Field.from_physical(grid16, rng.standard_normal(grid16.shape))))
     back = x_derivative(x_antiderivative(f))
     assert (back - f).l2_norm() <= 1e-10 * f.l2_norm()
 
@@ -65,7 +66,7 @@ def test_every_entry_point_zeroes_the_xi0_line_as_the_projection_does(grid16, kp
     """One rule for xi = 0: a field that carries content there gives, bit for
     bit, the result of its projection, with the line exactly zero."""
     rng = np.random.default_rng(7)
-    clean = zero_mode_project(Field.from_physical(grid16, rng.standard_normal(grid16.shape)))
+    clean = zero_mode_project(dealias(Field.from_physical(grid16, rng.standard_normal(grid16.shape))))
     f = clean + Field.single_mode(grid16, 0, 1)
     assert not symbols.has_zero_x_mean(f)
     projected = zero_mode_project(f)
@@ -84,14 +85,6 @@ def test_every_entry_point_zeroes_the_xi0_line_as_the_projection_does(grid16, kp
             assert np.all(out.data[:, 0] == 0.0), name
 
 
-def test_reality_flag_follows_conjugation_symmetry(grid16):
-    rng = np.random.default_rng(2)
-    f = dealias(Field.from_physical(grid16, rng.standard_normal(grid16.shape)))
-    assert apply_symbol(f, lambda xi, mu: 1j * xi).reality          # odd, imaginary
-    assert apply_symbol(f, lambda xi, mu: xi**2 + mu**2).reality    # even, real
-    assert not apply_symbol(f, lambda xi, mu: 1.0 + 1j * np.ones_like(xi)).reality
-
-
 def test_reality_preserved_by_every_solver_multiplier(grid16):
     """The whole conjugation-symmetric family the solver relies on: i*xi,
     the flow phase, bracket weights, and band masks."""
@@ -106,8 +99,9 @@ def test_reality_preserved_by_every_solver_multiplier(grid16):
     ]
     for m in multipliers:
         out = apply_symbol(f, m)
-        assert out.reality
-        assert out.reality_defect() <= 1e-12 * max(1.0, float(np.max(np.abs(out.data))))
+        assert out.to_physical().dtype == np.float64
+        defect = np.max(np.abs(out.data - hermitian_reflect(out.data)))
+        assert defect <= 1e-12 * max(1.0, float(np.max(np.abs(out.data))))
 
 
 def test_zero_mode_project_examples(grid16):
@@ -151,8 +145,7 @@ def test_dealias_idempotent(grid16):
 
 # -- half-backed real fields against the full-lattice formulas -------------------
 #
-# A reality-flagged field stores columns 0..nx//2 and completes the rest on
-# demand, so its stored columns must carry the bits the full-lattice formula
+# A field stores columns 0..nx//2 and completes the rest on demand, so its stored columns must carry the bits the full-lattice formula
 # gives there and the whole lattice its values.  (A zero the full formula
 # writes into a mirror column is +0 + 0j; the completion writes its conjugate,
 # +0 - 0j, which is equal but not the same bytes.)
@@ -162,9 +155,8 @@ def _real_field(grid, seed):
     return Field.from_physical(grid, np.random.default_rng(seed).standard_normal(grid.shape))
 
 
-def _assert_matches(out: Field, expected: np.ndarray, reality: bool):
+def _assert_matches(out: Field, expected: np.ndarray):
     half = out.grid.nx // 2 + 1
-    assert out.reality == reality
     assert out.data[:, :half].tobytes() == expected[:, :half].tobytes()
     assert np.array_equal(out.data, expected)
 
@@ -184,48 +176,38 @@ def _full_line_multiplier(grid, m):
 def test_half_backed_multipliers_give_the_full_lattice_values(nx, ny, seed, dealiased):
     grid = make_grid(nx, ny, 2 * np.pi, 3 * np.pi)
     f = _real_field(grid, seed)
-    _assert_matches(dealias(f), np.where(grid.dealias_mask, f.data, 0.0 + 0.0j), True)
+    _assert_matches(dealias(f), np.where(grid.dealias_mask, f.data, 0.0 + 0.0j))
     projected = f.data.copy()
     projected[:, 0] = 0.0
-    _assert_matches(zero_mode_project(f), projected, True)
+    _assert_matches(zero_mode_project(f), projected)
     if dealiased:
         f = dealias(f)
     for op, m in ((x_derivative, lambda xi: 1j * xi), (x_antiderivative, lambda xi: 1.0 / (1j * xi))):
-        expected = f.data * _full_line_multiplier(grid, m)
         # i*xi and 1/(i*xi) are conjugation-asymmetric only on the Nyquist column
-        _assert_matches(op(f), expected, is_hermitian(expected))
+        if np.any(f.data[:, nx // 2]):
+            with pytest.raises(SymbolEvaluationError):
+                op(f)
+        else:
+            _assert_matches(op(f), f.data * _full_line_multiplier(grid, m))
 
 
 @given(nx=_sizes, ny=_sizes, seed=_seeds, a=st.floats(min_value=-1e3, max_value=1e3, allow_nan=False))
 def test_half_backed_arithmetic_gives_the_full_lattice_values(nx, ny, seed, a):
     grid = make_grid(nx, ny, 2 * np.pi, 3 * np.pi)
     f, g = _real_field(grid, seed), _real_field(grid, seed + 1)
-    _assert_matches(f + g, f.data + g.data, True)
-    _assert_matches(f - g, f.data - g.data, True)
-    _assert_matches(a * f, f.data * complex(a), True)
-    _assert_matches(f * a, f.data * complex(a), True)
-    _assert_matches(-f, -f.data, True)
-    _assert_matches(f * complex(a, 1.0), f.data * complex(a, 1.0), False)
-    h = Field.from_physical(grid, np.random.default_rng(seed).standard_normal(grid.shape) * 1j)
-    _assert_matches(f + h, f.data + h.data, False)
+    _assert_matches(f + g, f.data + g.data)
+    _assert_matches(f - g, f.data - g.data)
+    _assert_matches(a * f, f.data * complex(a))
+    _assert_matches(f * a, f.data * complex(a))
+    _assert_matches(-f, -f.data)
 
 
-def test_x_derivative_of_nyquist_content_keeps_the_full_product_and_verdict(grid16, monkeypatch):
-    verdicts = []
-
-    def counting(data):
-        verdicts.append(data.shape)
-        return is_hermitian(data)
-
-    monkeypatch.setattr(symbols, "is_hermitian", counting)
+def test_x_derivative_of_nyquist_content_raises(grid16):
     f = Field.from_physical(grid16, np.random.default_rng(4).standard_normal(grid16.shape))
     assert np.max(np.abs(f.data[:, grid16.nx // 2])) > 0.0
-    out = x_derivative(f)
-    assert verdicts == [grid16.shape]
-    assert not out.reality
-    assert out.data.tobytes() == (f.data * (1j * grid16.xi_mesh[:1])).tobytes()
+    with pytest.raises(SymbolEvaluationError, match="real field"):
+        x_derivative(f)
 
-    # once dealiased, the Nyquist column is empty: no full product, no verdict
+    # once dealiased, the Nyquist column is empty: the product is taken on the stored half
     out = x_derivative(dealias(f))
-    assert verdicts == [grid16.shape]
-    assert out.reality and out._full is None
+    assert out._full is None
