@@ -55,6 +55,47 @@ def test_raw_fields_invert_like_the_real_part_of_ifft2(ny, nx, defect):
     assert np.max(np.abs(f.to_physical() - reference)) <= 1e-12 * np.max(np.abs(data))
 
 
+@pytest.mark.parametrize("ny, nx", shapes)
+def test_complex_samples_and_asymmetric_coefficients_are_rejected(ny, nx):
+    """A real field's own spectrum is accepted bit for bit; complex samples, an
+    imaginary part on any of the four self-mirrored modes and a mode without
+    its mirror are not."""
+    grid = make_grid(nx, ny, 1.0, 1.0)
+    rng = np.random.default_rng(nx + ny)
+    real = Field.from_physical(grid, rng.standard_normal(grid.shape))
+    assert Field.from_spectral(grid, real.data).data.tobytes() == real.data.tobytes()
+    with pytest.raises(ValueError, match="real field"):
+        Field.from_physical(grid, rng.standard_normal(grid.shape) + 1j * rng.standard_normal(grid.shape))
+    scale = float(np.max(np.abs(real.data)))
+    for iy in (0, ny // 2):
+        for ix in (0, nx // 2):
+            coeffs = real.data.copy()
+            coeffs[iy, ix] += 1j * scale
+            with pytest.raises(ValueError, match="real field"):
+                Field.from_spectral(grid, coeffs)
+    coeffs = real.data.copy()
+    coeffs[1, 1] += scale  # (1, 1) without (-1, -1)
+    with pytest.raises(ValueError, match="real field"):
+        Field.from_spectral(grid, coeffs)
+
+
+def test_single_mode_is_the_amplitude_and_its_conjugate_mirror():
+    grid = make_grid(8, 6, 1.0, 1.0)
+    a = 0.75 - 0.5j
+    f = Field.single_mode(grid, 2, -1, amplitude=a)
+    iy, ix = grid.index_of_mode(2, -1)
+    assert f.data[iy, ix] == a
+    assert f.data[-iy, -ix] == np.conj(a)
+    assert np.count_nonzero(f.data) == 2
+    x, y = np.meshgrid(np.arange(grid.nx), np.arange(grid.ny))
+    wave = 2.0 * np.real(a * np.exp(2j * np.pi * (2 * x / grid.nx - y / grid.ny))) / np.sqrt(grid.nx * grid.ny)
+    assert np.max(np.abs(f.to_physical() - wave)) <= 1e-15
+    # a self-mirrored mode holds its real amplitude once
+    g = Field.single_mode(grid, -4, -3, amplitude=2.0)
+    assert np.count_nonzero(g.data) == 1
+    assert g.data[grid.index_of_mode(-4, -3)] == 2.0
+
+
 def test_every_input_that_is_not_a_real_field_is_rejected():
     grid = make_grid(8, 6, 1.0, 1.0)
     rng = np.random.default_rng(1)
