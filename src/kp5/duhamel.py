@@ -25,7 +25,7 @@ from .cutoffs import cutoff_psi, cutoff_psi_T
 from .dispersion import DispersionParams, omega_on_grid
 from .errors import ContractionFailureError
 from .evolution import SolverConfig, Trajectory, _diagnostics_record
-from .field import Field, hermitian_complete
+from .field import Field, _column_sums, _mirrored_total, hermitian_complete
 from .norms import NormSpec
 from .symbols import require_zero_x_mean, zero_mode_project
 
@@ -114,10 +114,6 @@ def duhamel_picard(
         )
     t = np.arange(n_nodes) * h
 
-    # every interior column of the half spectrum stands for itself and its
-    # Hermitian mirror, so it counts twice in the distance
-    weights = np.full(cols, 2.0)
-    weights[[0, -1]] = 1.0
     phase_fwd = -1j * t[:, None, None] * omega_on_grid(grid, params)[None, :, :cols]
     np.exp(phase_fwd, out=phase_fwd)
     psi = cutoff_psi(t)[:, None, None]
@@ -135,7 +131,7 @@ def duhamel_picard(
     converged = False
     increases = 0
     for _ in range(cfg.picard_max_iters):
-        sums = np.zeros(2 * cols)
+        sums = np.zeros(cols)
         carry = None
         # overflow during a diverging iteration is expected; it surfaces as a
         # non-finite distance and becomes a contraction failure below
@@ -153,12 +149,10 @@ def duhamel_picard(
                 nb *= phase_fwd[b]
                 nb *= psi_t[b]
                 np.subtract(psi[b] * (phase_fwd[b] * phi_hat), nb, out=nb)
-                # |new - u|^2 summed over nodes and rows, read as (re, im) float pairs
-                sq = np.subtract(nb, u[b], out=integrand).view(np.float64)
-                np.square(sq, out=sq)
-                sums += sq.reshape(-1, 2 * cols).sum(axis=0)
+                # |new - u|^2 summed over nodes and rows, per column of the half spectrum
+                sums += _column_sums(np.subtract(nb, u[b], out=integrand))
                 u[b] = nb
-            d = float(np.sqrt(h * np.dot(weights, sums[0::2] + sums[1::2])))
+            d = float(np.sqrt(h * _mirrored_total(sums)))
         distances.append(d)
         if d < cfg.picard_tol:
             converged = True

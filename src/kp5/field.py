@@ -1,14 +1,11 @@
 """One real scalar field at fixed time, stored spectrally.
 
-``Field.data`` holds the unitary-normalized Fourier coefficients on the
-``(ny, nx)`` lattice; the physical representation is recovered on demand.
-Every field is real: it is backed by its stored columns ``0..nx//2``, and the
-other columns, their Hermitian mirrors, are built on the first ``data`` read.
-Fields are immutable: every operation returns a new value and the backing
-arrays are write-locked, so fields may be shared freely between threads (two
-threads racing on a first ``data`` read build the same array: harmless).
-The raw ``Field(...)`` constructor takes ownership of the array it is given;
-the ``from_*`` constructors always copy caller data.
+A ``Field`` is one write-locked array: its unitary-normalized Fourier
+coefficients on columns ``0..nx//2`` of the ``(ny, nx)`` lattice.  Every field
+is real, so the other columns are their Hermitian mirrors; ``Field.data``
+builds the full lattice afresh on each read.  Fields are immutable and may be
+shared freely between threads; every constructor copies caller data.  Every
+lattice norm sums through ``_column_sums``, which calls no BLAS.
 """
 
 from __future__ import annotations
@@ -68,17 +65,19 @@ def is_hermitian(data: np.ndarray) -> bool:
     return scale == 0.0 or _defect(data) <= _HERMITIAN_TOL * scale
 
 
-class _Spectrum:
-    """Behaviour shared by spectral containers whose write-locked ``data``
-    array has xi as its last axis (``Field`` and ``SpaceTimeField``)."""
+def _column_sums(a: np.ndarray, weight: np.ndarray | None = None) -> np.ndarray:
+    """Per-column sums of ``weight * |a|**2`` (``weight`` real, broadcasting) over every axis
+    but the last: a two-index ``einsum`` on the float64 (re, im) view, which calls no BLAS."""
+    v = a.view(np.float64)
+    w = v if weight is None else v * np.repeat(weight, 2, axis=-1)
+    sums = np.einsum("rk,rk->k", w.reshape(-1, v.shape[-1]), v.reshape(-1, v.shape[-1]))
+    return sums[0::2] + sums[1::2]
 
-    def l2_norm(self) -> float:
-        """Plancherel lattice norm sqrt(sum |coeff|^2) = sqrt(sum |u|^2)."""
-        return float(np.linalg.norm(self.data))
 
-    def x_mean_content(self) -> float:
-        """Relative magnitude of the xi = 0 spectral line."""
-        return _x_mean_content(self.data)
+def _mirrored_total(column_sums: np.ndarray) -> float:
+    """Full-lattice total from the sums over a real field's stored columns ``0..nx//2``: the
+    xi = 0 and Nyquist columns count once, every other column twice (it and its mirror)."""
+    return float(column_sums[0] + column_sums[-1] + 2.0 * np.sum(column_sums[1:-1]))
 
 
 def _x_mean_content(data: np.ndarray) -> float:
@@ -87,13 +86,12 @@ def _x_mean_content(data: np.ndarray) -> float:
     return line / scale if scale > 0.0 else 0.0
 
 
-class Field(_Spectrum):
+class Field:
     """Spectral coefficients of one real scalar field on a shared grid.
 
-    ``_stored`` holds columns ``0..nx//2``.  The stored half is authoritative,
-    as for ``to_physical``: arithmetic and multipliers read only that half, so
-    a Hermitian defect that a raw ``Field(grid, data)`` carries in ``data``'s
-    other columns does not reach the fields derived from it.
+    ``_stored`` holds columns ``0..nx//2`` and is all a field keeps: a raw
+    ``Field(grid, data)`` copies those columns of ``data`` and drops the rest,
+    so a Hermitian defect there reaches no value derived from the field.
     """
 
     grid: SpectralGrid
@@ -103,15 +101,13 @@ class Field(_Spectrum):
             raise ValueError(f"data shape {data.shape} != grid shape {grid.shape}")
         if data.dtype != np.complex128:
             raise ValueError(f"spectral data must be complex128, got {data.dtype}")
-        data = _take(data)
-        self.__dict__.update(grid=grid, _stored=data[:, : grid.nx // 2 + 1], _full=data)
+        self.__dict__.update(grid=grid, _stored=_take(data[:, : grid.nx // 2 + 1]))
 
     @classmethod
     def _from_stored(cls, grid: SpectralGrid, stored: np.ndarray) -> "Field":
-        """Take ownership of a stored ``(ny, nx//2 + 1)`` half spectrum; the
-        full lattice is built only when ``data`` is read."""
+        """Take ownership of a stored ``(ny, nx//2 + 1)`` half spectrum."""
         f = cls.__new__(cls)
-        f.__dict__.update(grid=grid, _stored=_take(stored), _full=None)
+        f.__dict__.update(grid=grid, _stored=_take(stored))
         return f
 
     def __setattr__(self, name, value=None):
@@ -124,13 +120,9 @@ class Field(_Spectrum):
 
     @property
     def data(self) -> np.ndarray:
-        """The write-locked ``(ny, nx)`` coefficient lattice, completed from
-        the stored half on first read."""
-        full = self._full
-        if full is None:
-            full = _take(hermitian_complete(self._stored, self.grid.nx))
-            self.__dict__["_full"] = full
-        return full
+        """A new write-locked ``(ny, nx)`` coefficient lattice, completed from
+        the stored half on each read."""
+        return _take(hermitian_complete(self._stored, self.grid.nx))
 
     # -- constructors --------------------------------------------------------
 
@@ -153,12 +145,17 @@ class Field(_Spectrum):
 
     @classmethod
     def from_spectral(cls, grid: SpectralGrid, coeffs: np.ndarray) -> "Field":
-        """Wrap a copy of the spectral coefficients of a real field; raises
-        ``ValueError`` unless they are conjugation-symmetric (``is_hermitian``)."""
-        f = cls(grid, np.array(coeffs, dtype=np.complex128, copy=True))
-        if not is_hermitian(f.data):
+        """Store a copy of the spectral coefficients of a real field; raises
+        ``ValueError`` unless they are finite and conjugation-symmetric (``is_hermitian``)."""
+        coeffs = np.asarray(coeffs, dtype=np.complex128)
+        if coeffs.shape != grid.shape:
+            raise ValueError(f"data shape {coeffs.shape} != grid shape {grid.shape}")
+        bad = coeffs.size - int(np.count_nonzero(np.isfinite(coeffs)))
+        if bad:
+            raise ValueError(f"{bad} of {coeffs.size} coefficients are not finite")
+        if not is_hermitian(coeffs):
             raise ValueError("coefficients not conjugation-symmetric: not the spectrum of a real field")
-        return f
+        return cls(grid, coeffs)
 
     @classmethod
     def single_mode(cls, grid: SpectralGrid, k: int, l: int, amplitude: complex = 1.0) -> "Field":
@@ -178,6 +175,10 @@ class Field(_Spectrum):
 
     # -- norms and reductions --------------------------------------------------
 
+    def l2_norm(self) -> float:
+        """Plancherel lattice norm sqrt(sum |coeff|^2) = sqrt(sum |u|^2)."""
+        return float(np.sqrt(_mirrored_total(_column_sums(self._stored))))
+
     def linf_physical(self) -> float:
         return float(np.max(np.abs(self.to_physical())))
 
@@ -185,18 +186,14 @@ class Field(_Spectrum):
         return bool(np.all(np.isfinite(self._stored)))
 
     def x_mean_content(self) -> float:
-        """Relative magnitude of the xi = 0 spectral line, read on the stored
-        array: a mirror column holds the magnitudes of its stored column."""
+        """Relative magnitude of the xi = 0 line; a mirror column has its stored column's magnitudes."""
         return _x_mean_content(self._stored)
 
     # -- arithmetic (same grid required) ---------------------------------------
 
-    def _check_same_grid(self, other: "Field") -> None:
+    def _combine(self, other: "Field", op) -> "Field":
         if self.grid != other.grid:
             raise ValueError("fields live on different grids")
-
-    def _combine(self, other: "Field", op) -> "Field":
-        self._check_same_grid(other)
         return Field._from_stored(self.grid, op(self._stored, other._stored))
 
     def __add__(self, other: "Field") -> "Field":

@@ -2,7 +2,7 @@
 the tilde (energy-type) norm, the Hamiltonian, mass and momentum integrals.
 
 Lattice norms (`sobolev_aniso_norm`, `tilde_norm`) are plain weighted l2 sums
-of spectral coefficients, consistent with ``Field.l2_norm``.  The integral
+of spectral coefficients, summed like ``Field.l2_norm`` on the stored half.  The integral
 quantities (`mass`, `energy_functional`, `momentum`) carry the cell area
 ``lx*ly/(nx*ny)`` so they approximate box integrals.
 """
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NormSpecError
-from .field import Field
+from .field import Field, _column_sums, _mirrored_total
 from .grid import SpectralGrid
 from .symbols import require_zero_x_mean
 
@@ -66,7 +66,8 @@ def _sobolev_weights(grid: SpectralGrid, s1: float, s2: float) -> tuple[np.ndarr
 def sobolev_aniso_norm(f: Field, spec: NormSpec) -> float:
     """l2 norm of <xi>**s1 <mu>**s2 weighted coefficients."""
     row, col = _sobolev_weights(f.grid, spec.s1, spec.s2)
-    return float(np.linalg.norm(row * col * f.data))
+    weighted = row[:, : f._stored.shape[1]] * col * f._stored
+    return float(np.sqrt(_mirrored_total(_column_sums(weighted))))
 
 
 def tilde_norm(f: Field, s: float, k: float) -> float:
@@ -75,20 +76,20 @@ def tilde_norm(f: Field, s: float, k: float) -> float:
     Requires zero x-mean; the xi = 0 line would make the weight meaningless.
     """
     require_zero_x_mean(f, what="tilde norm")
-    xi = np.abs(f.grid.xi_mesh[:, 1:])
-    mu = np.abs(f.grid.mu_mesh[:, 1:])
-    w = 1.0 + xi**s + mu**k / xi
-    return float(np.linalg.norm(w * f.data[:, 1:]))
+    xi = np.abs(f.grid.xi[1 : f.grid.nx // 2 + 1])
+    w = np.zeros((f.grid.ny, xi.size + 1))
+    w[:, 1:] = 1.0 + xi**s + np.abs(f.grid.mu)[:, None] ** k / xi
+    return float(np.sqrt(_mirrored_total(_column_sums(w * f._stored))))
 
 
 def mass(f: Field) -> float:
     """Box integral of u**2 (conserved by the flow)."""
-    return f.grid.cell_area * float(np.sum(np.abs(f.data) ** 2))
+    return f.grid.cell_area * _mirrored_total(_column_sums(f._stored))
 
 
 def momentum(f: Field) -> float:
     """Box integral of u; exactly zero for zero-x-mean data."""
-    coeff = f.data[0, 0]
+    coeff = f._stored[0, 0]
     return float(np.real(coeff)) * np.sqrt(f.grid.nx * f.grid.ny) * f.grid.cell_area
 
 
@@ -107,11 +108,11 @@ def energy_functional(f: Field, alpha: float) -> float:
     """
     require_zero_x_mean(f, what="energy functional")
     grid = f.grid
-    xi = grid.xi[None, :]
+    xi = grid.xi[None, : f._stored.shape[1]]
     xi_safe = np.where(xi == 0.0, 1.0, xi)
     weights = 0.5 * xi**4 - 0.5 * alpha * xi**2 + 0.5 * (grid.mu[:, None] / xi_safe) ** 2
     weights[:, 0] = 0.0  # xi = 0 line carries no content by precondition
-    quadratic = grid.cell_area * float(np.sum(weights * np.abs(f.data) ** 2))
+    quadratic = grid.cell_area * _mirrored_total(_column_sums(f._stored, weights))
     u = np.real(f.to_physical())
     # u * u * u, not u**3: numpy sends exponent 3 through libm pow
     cubic = grid.cell_area * float(np.sum(u * u * u)) / 6.0

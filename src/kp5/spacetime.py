@@ -20,7 +20,7 @@ import scipy.fft
 from .cutoffs import dyadic_eta
 from .dispersion import DispersionParams, omega_on_grid
 from .errors import UndefinedRatioError
-from .field import Field, _Spectrum
+from .field import Field, _column_sums, _x_mean_content
 from .grid import SpectralGrid, _take
 from .norms import NormSpec, _sobolev_weights, bracket
 from .symbols import require_zero_x_mean, zero_mode_project
@@ -73,7 +73,7 @@ def _kept_slices(block: np.ndarray, columns: np.ndarray, nx: int, keep: np.ndarr
 
 
 @dataclass(frozen=True)
-class SpaceTimeField(_Spectrum):
+class SpaceTimeField:
     """Fully spectral (tau, mu, xi) representation of u(t, x, y)."""
 
     grid: SpectralGrid
@@ -126,14 +126,22 @@ class SpaceTimeField(_Spectrum):
 
     # -- representations -------------------------------------------------------
 
+    def l2_norm(self) -> float:
+        """Plancherel lattice norm over the full lattice: space-time data need not be real."""
+        return float(np.sqrt(np.sum(_column_sums(self.data))))
+
+    def x_mean_content(self) -> float:
+        """Relative magnitude of the xi = 0 spectral plane."""
+        return _x_mean_content(self.data)
+
     def to_physical(self) -> np.ndarray:
         """Physical samples ``u[it, iy, ix]``."""
         spatial = scipy.fft.fft(self.data, axis=0, norm="ortho")
         return scipy.fft.ifft2(spatial, axes=(1, 2), norm="ortho")
 
     def slices(self) -> tuple[Field, ...]:
-        """Single-time fields at each sample time; ``Field.from_spectral``
-        raises ``ValueError`` for a slice that is not a real field."""
+        """Single-time fields at each sample time; ``Field.from_spectral`` raises
+        ``ValueError`` for a slice that is not finite or not a real field."""
         spatial = scipy.fft.fft(self.data, axis=0, norm="ortho")
         return tuple(Field.from_spectral(self.grid, spatial[i]) for i in range(self.nt))
 
@@ -178,7 +186,7 @@ def bourgain_norm(u: SpaceTimeField, spec: NormSpec, params: DispersionParams) -
     row, col = _sobolev_weights(u.grid, spec.s1, spec.s2)
     weight = bracket(u.sigma(params)) ** spec.b * (row * col)[None, :, :]
     weight[:, :, 0] = 0.0
-    return float(np.linalg.norm(weight * u.data))
+    return float(np.sqrt(np.sum(_column_sums(weight * u.data))))
 
 
 def modulation_project(

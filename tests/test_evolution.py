@@ -12,6 +12,7 @@ from kp5 import (
     Trajectory,
     dealias,
     dispersion_omega,
+    duhamel_picard,
     energy_functional,
     evolve,
     linear_propagate,
@@ -27,10 +28,9 @@ from kp5 import (
     x_derivative,
     zero_mode_project,
 )
-from kp5 import evolution as evolution_module
+from kp5 import duhamel as duhamel_module
 from kp5 import field as field_module
 from kp5.errors import BlowUpError, ZeroMassViolationError
-from kp5.evolution import _step_with_phase
 from kp5.field import hermitian_complete, hermitian_reflect
 
 
@@ -345,7 +345,7 @@ def test_evolve_is_bitwise_the_full_lattice_march(n, sign):
     assert list(traj.diagnostics[1:]) == reference
 
 
-def test_the_march_completes_the_spectrum_once_per_diagnostics_record(monkeypatch, kp1_alpha1):
+def test_the_march_builds_no_full_lattice_and_picard_one_per_node(monkeypatch, kp1_alpha1):
     grid = make_grid(32, 32, 8 * np.pi, 8 * np.pi)
     x, y = np.meshgrid(grid.x, grid.y)
     f0 = zero_mode_project(Field.from_physical(grid, np.exp(-((x - 12.0) ** 2 + (y - 12.0) ** 2) / 8.0)))
@@ -355,14 +355,10 @@ def test_the_march_completes_the_spectrum_once_per_diagnostics_record(monkeypatc
         completions.append(nx)
         return hermitian_complete(half, nx)
 
-    def step(*args):
-        before = len(completions)
-        out = _step_with_phase(*args)
-        assert len(completions) == before, "the Strang step built a full lattice"
-        return out
-
     monkeypatch.setattr(field_module, "hermitian_complete", counting)
-    monkeypatch.setattr(evolution_module, "_step_with_phase", step)
-    traj = evolve(f0, SolverConfig(dt=1e-3, t_final=1e-2), kp1_alpha1, state_stride=5)
+    monkeypatch.setattr(duhamel_module, "hermitian_complete", counting)
+    traj = evolve(f0, SolverConfig(dt=1e-3, t_final=1e-2), kp1_alpha1, state_stride=5, monitors=(NormSpec(1, 0),))
     assert len(traj.diagnostics) == 11
-    assert len(completions) == 11
+    assert completions == []  # states, steps and diagnostics all stay on the stored half
+    result = duhamel_picard(0.01 * f0, SolverConfig(dt=1e-3, t_final=1e-2, quadrature_nodes=3), kp1_alpha1)
+    assert len(completions) == len(result.trajectory.times) == 21  # Picard's node states, one each

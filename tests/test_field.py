@@ -3,6 +3,7 @@ spectrum; complex input is rejected."""
 
 import sys
 import threading
+import warnings
 from dataclasses import FrozenInstanceError
 
 import numpy as np
@@ -121,26 +122,59 @@ def test_every_input_that_is_not_a_real_field_is_rejected():
     assert all(s.to_physical().dtype == np.float64 for s in flow.slices())
 
 
+@pytest.mark.parametrize("values", [(np.nan, 0.0), (np.inf, np.inf), (complex(np.inf, 1.0), complex(np.inf, -1.0))],
+                         ids=["nan", "inf-and-its-mirror", "complex-inf-and-its-mirror"])
+def test_non_finite_coefficients_are_named_not_called_asymmetric(values):
+    grid = make_grid(8, 6, 1.0, 1.0)
+    coeffs = np.zeros(grid.shape, dtype=np.complex128)
+    coeffs[1, 2], coeffs[-1, -2] = values
+    bad = int(np.count_nonzero(~np.isfinite(coeffs)))
+    spectrum = np.zeros((4,) + grid.shape, dtype=np.complex128)
+    spectrum[0] = coeffs  # time slice 0 of the flat-in-time field carries the values
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no raw RuntimeWarning on the way to the error
+        with pytest.raises(ValueError, match=f"^{bad} of 48 coefficients are not finite$"):
+            Field.from_spectral(grid, coeffs)
+        with pytest.raises(ValueError, match="coefficients are not finite$"):
+            SpaceTimeField(grid, 4, 1.0, spectrum).slices()
+
+
+def test_from_spectral_checks_the_shape_first_and_keeps_only_a_copy_of_the_half():
+    grid = make_grid(8, 6, 1.0, 1.0)
+    with pytest.raises(ValueError, match="shape"):
+        Field.from_spectral(grid, np.full((6, 6), np.nan))
+    coeffs = Field.from_physical(grid, np.random.default_rng(2).standard_normal(grid.shape)).data.copy()
+    f = Field.from_spectral(grid, coeffs)
+    assert set(vars(f)) == {"grid", "_stored"} and not np.shares_memory(f._stored, coeffs)
+    assert f.data.tobytes() == coeffs.tobytes()
+
+
 def test_a_raw_real_field_takes_its_stored_half_as_authoritative():
     grid = make_grid(16, 12, 1.0, 1.0)
     rng = np.random.default_rng(5)
     data = _hermitian(rng, grid.shape)
     data += 1e-13 * float(np.max(np.abs(data))) * np.exp(2j * np.pi * rng.random(grid.shape))
-    f = Field(grid, data.copy())
-    assert f.data.tobytes() == data.tobytes()  # the lattice it was given, defect and all
-    assert _defect(f.data) > 0.0
+    f = Field(grid, data)
     half = data[:, : grid.nx // 2 + 1]
+    assert set(vars(f)) == {"grid", "_stored"}
+    assert f._stored.tobytes() == half.tobytes() and not np.shares_memory(f._stored, data)
+    # the other columns of the lattice it was given are dropped, defect and all
+    assert f.data.tobytes() == hermitian_complete(half, grid.nx).tobytes() != data.tobytes()
     assert f.to_physical().tobytes() == scipy.fft.irfft2(half, s=grid.shape, norm="ortho").tobytes()
     assert f.x_mean_content() == float(np.max(np.abs(half[:, 0]))) / float(np.max(np.abs(half)))
     for derived, stored in ((-f, -half), (f + f, half + half), (2.0 * f, half * 2.0)):
         assert derived.data.tobytes() == hermitian_complete(stored, grid.nx).tobytes()
 
 
-def test_half_backed_fields_are_immutable_and_complete_once():
+def test_a_field_is_one_write_locked_array_and_data_is_built_on_each_read():
     grid = make_grid(8, 8, 1.0, 1.0)
     f = Field.from_physical(grid, np.random.default_rng(0).standard_normal(grid.shape))
-    assert f.data is f.data
-    assert not f.data.flags.writeable
+    assert set(vars(f)) == {"grid", "_stored"}
+    assert f._stored.shape == (grid.ny, grid.nx // 2 + 1) and not f._stored.flags.writeable
+    first, second = f.data, f.data
+    assert first is not second and first.tobytes() == second.tobytes()
+    assert not first.flags.writeable
+    assert set(vars(f)) == {"grid", "_stored"}  # reading data caches nothing
     with pytest.raises(FrozenInstanceError):
         f.grid = grid
     with pytest.raises(FrozenInstanceError):

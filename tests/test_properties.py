@@ -13,7 +13,9 @@ from kp5 import (
     KPSign,
     NormSpec,
     SpaceTimeField,
+    Trajectory,
     apply_symbol,
+    bourgain_norm,
     bracket,
     cutoff_psi,
     dealias,
@@ -21,17 +23,23 @@ from kp5 import (
     dyadic_eta,
     energy_functional,
     make_grid,
+    mass,
+    momentum,
     nonlinear_rhs,
+    omega_on_grid,
+    residual_check,
     resonance,
+    sample_linear_flow,
     sobolev_aniso_norm,
     step_splitstep,
+    tilde_norm,
     x_antiderivative,
     x_derivative,
 )
 from kp5.duhamel import _trapezoid_prefix
 from kp5.errors import ZeroMassViolationError
 from kp5.evolution import linear_propagate
-from kp5.field import _defect, hermitian_complete, hermitian_reflect, is_hermitian
+from kp5.field import _column_sums, _defect, _mirrored_total, hermitian_complete, hermitian_reflect, is_hermitian
 from kp5.symbols import _ZERO_LINE_TOL, require_zero_x_mean, zero_mode_project
 
 sizes = st.sampled_from([4, 6, 8, 16])
@@ -249,7 +257,8 @@ def test_energy_functional_matches_the_uncached_formula(nx, ny, lx, ly, seed, al
     xi_safe = np.where(xi == 0.0, 1.0, xi)
     weights = 0.5 * xi**4 - 0.5 * alpha * xi**2 + 0.5 * (mu / xi_safe) ** 2
     weights[:, 0] = 0.0
-    quadratic = grid.cell_area * float(np.sum(weights * np.abs(f.data) ** 2))
+    cols = nx // 2 + 1
+    quadratic = grid.cell_area * _mirrored_total(_column_sums(f._stored, weights[:, :cols]))
     u = np.real(f.to_physical())
     cubic = grid.cell_area * float(np.sum(u**3)) / 6.0
     energy = energy_functional(f, alpha)
@@ -267,7 +276,52 @@ def test_energy_functional_matches_the_uncached_formula(nx, ny, lx, ly, seed, al
 def test_sobolev_aniso_norm_matches_the_uncached_formula(nx, ny, lx, ly, seed, s1, s2):
     f = _random_zero_mean(nx, ny, lx, ly, seed)
     w = bracket(f.grid.xi_mesh) ** s1 * bracket(f.grid.mu_mesh) ** s2
-    assert sobolev_aniso_norm(f, NormSpec(s1, s2)) == float(np.linalg.norm(w * f.data))
+    half = w[:, : nx // 2 + 1] * f._stored
+    assert sobolev_aniso_norm(f, NormSpec(s1, s2)) == float(np.sqrt(_mirrored_total(_column_sums(half))))
+
+
+@given(
+    nx=sizes, ny=sizes, lx=lengths, ly=lengths, seed=seeds,
+    s1=st.floats(min_value=0.0, max_value=3.0), s2=st.floats(min_value=0.0, max_value=3.0),
+    alpha=st.floats(min_value=-2.0, max_value=2.0),
+)
+def test_every_lattice_norm_matches_its_full_lattice_formula(nx, ny, lx, ly, seed, s1, s2, alpha):
+    """The half-spectrum sums agree with np.linalg.norm and np.sum over the
+    completed lattice to 1e-13 of the summed magnitudes."""
+    f = _random_zero_mean(nx, ny, lx, ly, seed)
+    grid, data = f.grid, f.data
+    xi, mu = np.abs(grid.xi_mesh), np.abs(grid.mu_mesh)
+
+    def close(got, expected, scale):
+        assert abs(got - expected) <= 1e-13 * scale
+
+    l2 = float(np.linalg.norm(data))
+    close(f.l2_norm(), l2, l2)
+    close(mass(f), grid.cell_area * float(np.sum(np.abs(data) ** 2)), grid.cell_area * l2**2)
+    assert momentum(f) == float(np.real(data[0, 0])) * np.sqrt(nx * ny) * grid.cell_area
+    sobolev = float(np.linalg.norm(bracket(xi) ** s1 * bracket(mu) ** s2 * data))
+    close(sobolev_aniso_norm(f, NormSpec(s1, s2)), sobolev, sobolev)
+    w = 1.0 + xi[:, 1:] ** s1 + mu[:, 1:] ** s2 / xi[:, 1:]
+    tilde = float(np.linalg.norm(w * data[:, 1:]))
+    close(tilde_norm(f, s1, s2), tilde, tilde)
+    xi_safe = np.where(xi == 0.0, 1.0, xi)
+    weights = 0.5 * xi**4 - 0.5 * alpha * xi**2 + 0.5 * (mu / xi_safe) ** 2
+    weights[:, 0] = 0.0
+    u = f.to_physical()
+    cubic = grid.cell_area * float(np.sum(u * u * u)) / 6.0
+    terms = grid.cell_area * weights * np.abs(data) ** 2
+    close(energy_functional(f, alpha), float(np.sum(terms)) + cubic, float(np.sum(np.abs(terms))) + abs(cubic))
+    params = DispersionParams(kp_sign=KPSign.KP1, alpha=alpha)
+    traj = Trajectory(np.arange(3) * 0.1, (f, 2.0 * f, -f))
+    omega = omega_on_grid(grid, params)
+    residual = float(np.linalg.norm((-f - f).data / (2.0 * 0.1) + 1j * omega * (2.0 * f).data))
+    close(residual_check(traj, params), residual, residual)
+    flow = sample_linear_flow(f, 4, 1.0, params)
+    close(flow.l2_norm(), float(np.linalg.norm(flow.data)), float(np.linalg.norm(flow.data)))
+    weight = bracket(flow.sigma(params)) ** 0.5 * (bracket(xi) ** s1 * bracket(mu) ** s2)[None]
+    weight[:, :, 0] = 0.0
+    bourgain = float(np.linalg.norm(weight * flow.data))
+    close(bourgain_norm(flow, NormSpec(s1, s2, b=0.5), params), bourgain, bourgain)
 
 
 # the resonance suite's draw: sign times a log-uniform magnitude in [1e-2, 1e2]

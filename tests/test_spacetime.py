@@ -14,6 +14,7 @@ from kp5 import (
     strichartz_ratio,
 )
 from kp5.errors import UndefinedRatioError, ZeroMassViolationError
+from kp5.field import _column_sums
 
 NT = 16
 TW = 2 * np.pi
@@ -260,7 +261,7 @@ def _full_lattice_ratio(u, j, r, T, params):
     coeffs = (weight * np.abs(u.data)).astype(complex)
     coeffs[:, :, 0] = 0.0
     assert np.array_equal(coeffs, modulation_project(u, j, params).data)
-    l2 = np.linalg.norm(coeffs) * np.sqrt(u.cell_volume)
+    l2 = np.sqrt(np.sum(_column_sums(coeffs))) * np.sqrt(u.cell_volume)
     smoothed = SpaceTimeField(u.grid, u.nt, u.t_window, coeffs * np.abs(u.grid.xi_mesh) ** (0.5 - 1.0 / r))
     magnitudes = np.abs(smoothed.to_physical()[_restriction_mask(u, T)])
     inner = (np.sum(magnitudes**r, axis=(1, 2)) * u.grid.cell_area) ** (1.0 / r)
