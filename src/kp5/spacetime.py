@@ -74,14 +74,14 @@ def _kept_slices(block: np.ndarray, columns: np.ndarray, nx: int, keep: np.ndarr
 
 @dataclass(frozen=True)
 class SpaceTimeField:
-    """Fully spectral (tau, mu, xi) representation of u(t, x, y)."""
+    """Fully spectral (tau, mu, xi) representation of u(t, x, y); keeps a write-locked copy of ``data``."""
 
     grid: SpectralGrid
     nt: int
     t_window: float
     data: np.ndarray
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, copy: bool = True) -> None:
         if self.nt < 1:
             raise ValueError(f"nt must be positive, got {self.nt}")
         if not (np.isfinite(self.t_window) and self.t_window > 0):
@@ -91,7 +91,15 @@ class SpaceTimeField:
             raise ValueError(f"data shape {self.data.shape} != {expected}")
         if self.data.dtype != np.complex128:
             raise ValueError(f"spectral data must be complex128, got {self.data.dtype}")
-        object.__setattr__(self, "data", _take(self.data))
+        object.__setattr__(self, "data", _take(self.data.copy() if copy else self.data))
+
+    @classmethod
+    def _from_owned(cls, grid: SpectralGrid, nt: int, t_window: float, data: np.ndarray) -> "SpaceTimeField":
+        """Check and write-lock a spectrum the caller has just allocated, without a copy."""
+        u = cls.__new__(cls)
+        u.__dict__.update(grid=grid, nt=nt, t_window=t_window, data=data)
+        u.__post_init__(copy=False)
+        return u
 
     # -- constructors --------------------------------------------------------
 
@@ -101,13 +109,13 @@ class SpaceTimeField:
     ) -> "SpaceTimeField":
         samples = np.asarray(samples, dtype=np.complex128)
         spec = scipy.fft.ifft(scipy.fft.fft2(samples, axes=(1, 2), norm="ortho"), axis=0, norm="ortho")
-        return cls(grid, samples.shape[0], float(t_window), spec)
+        return cls._from_owned(grid, samples.shape[0], float(t_window), spec)
 
     @classmethod
     def from_spectral(
         cls, grid: SpectralGrid, t_window: float, coeffs: np.ndarray
     ) -> "SpaceTimeField":
-        return cls(grid, coeffs.shape[0], float(t_window), np.array(coeffs, dtype=np.complex128))
+        return cls._from_owned(grid, coeffs.shape[0], float(t_window), np.array(coeffs, dtype=np.complex128))
 
     # -- lattices ------------------------------------------------------------
 
@@ -155,7 +163,7 @@ def sample_linear_flow(
     times = _sample_times(nt, t_window)
     spatial = data[None, :, :] * np.exp(-1j * times[:, None, None] * omega[None, :, :])
     spec = scipy.fft.ifft(spatial, axis=0, norm="ortho")
-    return SpaceTimeField(phi.grid, nt, float(t_window), spec)
+    return SpaceTimeField._from_owned(phi.grid, nt, float(t_window), spec)
 
 
 def random_modulation_shell(
@@ -173,7 +181,7 @@ def random_modulation_shell(
     columns, block = _shell_weight(grid, nt, float(t_window), params, j) if weight is None else weight
     rng = np.random.default_rng(seed)
     coeffs = (rng.standard_normal(block.shape) + 1j * rng.standard_normal(block.shape)) * block
-    return SpaceTimeField(grid, nt, float(t_window), _on_columns(coeffs, columns, grid.nx))
+    return SpaceTimeField._from_owned(grid, nt, float(t_window), _on_columns(coeffs, columns, grid.nx))
 
 
 def bourgain_norm(u: SpaceTimeField, spec: NormSpec, params: DispersionParams) -> float:
@@ -207,7 +215,7 @@ def modulation_project(
     part = u.data[:, :, columns]
     # a modulus product stays real until the scatter widens it (imaginary parts +0)
     coeffs = block * np.abs(part)
-    return SpaceTimeField(u.grid, u.nt, u.t_window, _on_columns(coeffs, columns, u.grid.nx))
+    return SpaceTimeField._from_owned(u.grid, u.nt, u.t_window, _on_columns(coeffs, columns, u.grid.nx))
 
 
 def _restriction_mask(u: SpaceTimeField, T: float) -> np.ndarray:

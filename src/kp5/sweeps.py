@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convbounds import convolution_bound_check
 from .cutoffs import cutoff_psi, dyadic_eta
 from .dispersion import DispersionParams, KPSign
 from .errors import ConfigError
@@ -189,6 +188,7 @@ def strichartz_suite(
 def convolution_suite(seed: int, samples: int = 201) -> SuiteReport:
     """Bound ratios over a grid of offsets for several gamma; passes when all
     ratios are finite and the gamma = 2 spot value matches pi/2 to 1e-8."""
+    from .convbounds import convolution_bound_check  # the one user of scipy.integrate
     a_grid = np.linspace(-100.0, 100.0, samples)
     rows = []
     worst_bracket: dict[float, float] = {}

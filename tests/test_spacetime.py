@@ -36,6 +36,19 @@ def test_roundtrip_and_plancherel(grid16):
     assert st.l2_norm() == pytest.approx(np.linalg.norm(phys), rel=1e-12)
 
 
+def test_the_constructor_copies_caller_data_and_leaves_it_writable(grid16):
+    d = np.zeros((4, grid16.ny, grid16.nx), dtype=np.complex128)
+    u = SpaceTimeField(grid16, 4, 1.0, d)
+    d[1, 1, 1] = np.inf  # the caller's array is still its own
+    assert not np.shares_memory(u.data, d) and not u.data.flags.writeable
+    assert np.all(u.data == 0.0)
+    # the internal path takes ownership of a spectrum it just allocated: no copy
+    fresh = np.zeros_like(d)
+    assert SpaceTimeField._from_owned(grid16, 4, 1.0, fresh).data is fresh and not fresh.flags.writeable
+    with pytest.raises(ValueError, match="shape"):
+        SpaceTimeField._from_owned(grid16, 3, 1.0, np.zeros_like(d))
+
+
 def test_slices_match_time_samples(grid16, kp1):
     phi = Field.single_mode(grid16, 1, 0)
     st = sample_linear_flow(phi, NT, TW, kp1)
