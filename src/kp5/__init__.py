@@ -40,19 +40,12 @@ from .resonance import (
     resonance,
     resonance_identity_check,
 )
+from .convbounds import ConvolutionBoundResult, convolution_bound_check
 from .initial_data import FileData, GaussianData, ModeSumData, RandomShellData, make_initial_data
 from .config import RunConfig, load_config, parse_config
 from . import errors
 
 __version__ = "0.1.0"
-
-
-def __getattr__(name: str):
-    """Load ``kp5.convbounds``, and ``scipy.integrate`` with it, only on first use."""
-    if name in ("ConvolutionBoundResult", "convolution_bound_check"):
-        from . import convbounds
-        return getattr(convbounds, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 __all__ = [

@@ -66,7 +66,7 @@ class _OutputDir:
         self.path.mkdir(parents=True, exist_ok=True)
         lock = self.path / _LOCK_NAME
         try:
-            self._fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            self._fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
         except FileExistsError:
             raise OSError(f"output directory {self.path} is locked: {_lock_holder(lock)}") from None
         try:

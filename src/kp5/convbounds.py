@@ -5,6 +5,7 @@
 
 by adaptive quadrature; the square-root singularity is removed with the
 substitution t = a -+ s^2 on the two unit intervals around t = a.
+``scipy.integrate`` loads on the first quadrature, not with this module.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DivergentIntegralError
 
@@ -33,8 +33,11 @@ class ConvolutionBoundResult:
     ratio_sqrt: float       # lhs_sqrt / <a>^-(1/2)
 
 
-def _quad(f, lo, hi) -> float:
-    value, _err = quad(f, lo, hi, epsabs=_EPSABS, epsrel=_EPSREL, limit=200)
+def quad(f, lo, hi) -> float:
+    """Adaptive quadrature of f over [lo, hi]; the first call loads scipy.integrate."""
+    from scipy.integrate import quad as adaptive
+
+    value, _err = adaptive(f, lo, hi, epsabs=_EPSABS, epsrel=_EPSREL, limit=200)
     return value
 
 
@@ -42,10 +45,10 @@ def _bracket_integral(gamma: float, a: float) -> float:
     e = -0.5 * gamma  # <x>^-g is (1.0 + x*x) ** e, written out: quad calls f per node
     f = lambda t: (1.0 + t * t) ** e * (1.0 + (t - a) * (t - a)) ** e
     lo, hi = sorted((0.0, a))
-    total = _quad(f, -np.inf, lo)
+    total = quad(f, -np.inf, lo)
     if hi > lo:
-        total += _quad(f, lo, hi)
-    total += _quad(f, hi, np.inf)
+        total += quad(f, lo, hi)
+    total += quad(f, hi, np.inf)
     return total
 
 
@@ -53,9 +56,9 @@ def _sqrt_integral(gamma: float, a: float) -> float:
     e = -0.5 * gamma
     f = lambda t: (1.0 + t * t) ** e / math.sqrt(abs(t - a))
     # substituted halves: t = a - s^2 and t = a + s^2 turn 1/sqrt into 2 ds
-    left = _quad(lambda s: 2.0 * (1.0 + (a - s * s) * (a - s * s)) ** e, 0.0, 1.0)
-    right = _quad(lambda s: 2.0 * (1.0 + (a + s * s) * (a + s * s)) ** e, 0.0, 1.0)
-    tails = _quad(f, -np.inf, a - 1.0) + _quad(f, a + 1.0, np.inf)
+    left = quad(lambda s: 2.0 * (1.0 + (a - s * s) * (a - s * s)) ** e, 0.0, 1.0)
+    right = quad(lambda s: 2.0 * (1.0 + (a + s * s) * (a + s * s)) ** e, 0.0, 1.0)
+    tails = quad(f, -np.inf, a - 1.0) + quad(f, a + 1.0, np.inf)
     return left + right + tails
 
 

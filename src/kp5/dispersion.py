@@ -58,17 +58,14 @@ def dispersion_omega(xi, mu, params: DispersionParams):
     """
     xi_a = np.asarray(xi, dtype=float)
     mu_a = np.asarray(mu, dtype=float)
-    if xi_a.ndim == 0 and mu_a.ndim == 0:
-        x = float(xi_a)
-        m = float(mu_a)
-        if x == 0.0:
-            if m == 0.0:
-                return 0.0
-            raise SingularSymbolError(f"dispersion symbol is singular at xi=0 (mu={m!r})")
-        return params.sign * x**5 - params.alpha * x**3 + m * m / x
+    scalar = xi_a.ndim == 0 and mu_a.ndim == 0
     if np.any(xi_a == 0.0):
-        raise SingularSymbolError("array evaluation hit xi=0; use omega_on_grid for lattices")
-    return params.sign * xi_a**5 - params.alpha * xi_a**3 + mu_a * mu_a / xi_a
+        if scalar and mu_a == 0.0:
+            return 0.0
+        raise SingularSymbolError("dispersion symbol is singular at xi=0; use omega_on_grid for lattices")
+    # scalars take the array expression too: Python's float ** rounds differently from numpy's
+    omega = params.sign * xi_a**5 - params.alpha * xi_a**3 + mu_a * mu_a / xi_a
+    return float(omega) if scalar else omega
 
 
 def gradient_omega(xi, mu, params: DispersionParams):

@@ -106,13 +106,10 @@ def resonance_identity_check(xi1, xi2, mu1, mu2, params: DispersionParams):
     return float(defect[0]) if args[4].ndim == 0 else defect.reshape(args[4].shape)
 
 
-def kp2_lower_bound_ratio(xi1, xi2, mu1, mu2, alpha: float = 0.0):
-    """|R| / (max(|xi1|,|xi2|,|xi1+xi2|)**4 * min(...)) for the KP-II branch.
-
-    The provable constant 15/8 applies only at alpha = 0; other alphas are
-    permitted but carry no asserted bound.
-    """
-    params = DispersionParams(kp_sign=KPSign.KP2, alpha=alpha)
+def kp2_lower_bound_ratio(xi1, xi2, mu1, mu2):
+    """|R| / (max(|xi1|,|xi2|,|xi1+xi2|)**4 * min(...)) for the KP-II branch at
+    alpha = 0, the only alpha where the provable constant 15/8 applies."""
+    params = DispersionParams(kp_sign=KPSign.KP2, alpha=0.0)
     r = resonance(xi1, xi2, mu1, mu2, params)
     a1 = np.abs(np.asarray(xi1, dtype=float))
     a2 = np.abs(np.asarray(xi2, dtype=float))

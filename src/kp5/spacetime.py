@@ -72,9 +72,10 @@ def _kept_slices(block: np.ndarray, columns: np.ndarray, nx: int, keep: np.ndarr
     return scipy.fft.ifft2(_on_columns(spatial, columns, nx), axes=(1, 2), norm="ortho")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SpaceTimeField:
-    """Fully spectral (tau, mu, xi) representation of u(t, x, y); keeps a write-locked copy of ``data``."""
+    """Fully spectral (tau, mu, xi) representation of u(t, x, y); keeps a write-locked copy of ``data``.
+    Equality and hashing are by identity, as for ``Field``."""
 
     grid: SpectralGrid
     nt: int

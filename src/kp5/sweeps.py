@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .convbounds import convolution_bound_check
 from .cutoffs import cutoff_psi, dyadic_eta
 from .dispersion import DispersionParams, KPSign
 from .errors import ConfigError
@@ -107,11 +108,11 @@ def kp2bound_suite(seed: int, samples: int = 10_000) -> SuiteReport:
     mu2/xi2.  Passes when every ratio is >= 1."""
     rng = np.random.default_rng([seed, 0x6B7032])
     xi1, xi2, mu1, mu2 = _frequency_sample(rng, samples)
-    generic = kp2_lower_bound_ratio(xi1, xi2, mu1, mu2, alpha=0.0)
+    generic = kp2_lower_bound_ratio(xi1, xi2, mu1, mu2)
     del xi1, xi2, mu1, mu2  # not held through the parallel family, the suite's peak
     xi1p, xi2p, mu1p = _frequency_sample(rng, samples)[:3]
     mu2p = xi2p * (mu1p / xi1p)
-    parallel = kp2_lower_bound_ratio(xi1p, xi2p, mu1p, mu2p, alpha=0.0)
+    parallel = kp2_lower_bound_ratio(xi1p, xi2p, mu1p, mu2p)
     lo = float(min(np.min(generic), np.min(parallel)))
     rows = (
         {"family": "generic", "min_ratio": float(np.min(generic)), "max_ratio": float(np.max(generic))},
@@ -129,41 +130,41 @@ def kp2bound_suite(seed: int, samples: int = 10_000) -> SuiteReport:
 # -- dyadic shell smoothing ratios ---------------------------------------------
 
 
-def strichartz_suite(
-    seed: int,
-    samples: int = 100,
-    j_values: tuple[int, ...] = tuple(range(9)),
-    size: int = 64,
-    threads: int | None = None,
-) -> SuiteReport:
+_SHELLS = range(9)  # the strichartz suite's shells j, each also its index into the weights
+_SIZE = 64  # its space-time lattice is _SIZE^3
+
+
+def strichartz_suite(seed: int, samples: int = 100) -> SuiteReport:
     """Smoothing ratio (r = 4, T = 0.5) of random modulation-shell functions
-    on a space-time lattice; passes when the regression slope of max log2-ratio
-    against the shell index stays <= 0.1 (the constant does not grow with the
-    shell)."""
-    grid = make_grid(size, size, 2.0 * np.pi, 2.0 * np.pi)
+    on the 64^3 space-time lattice, shells j = 0..8; passes when the regression
+    slope of max log2-ratio against the shell index stays <= 0.1 (the constant
+    does not grow with the shell).  Workers come from KP5_THREADS."""
+    grid = make_grid(_SIZE, _SIZE, 2.0 * np.pi, 2.0 * np.pi)
     params = DispersionParams(kp_sign=KPSign.KP1, alpha=0.0)
-    workers = thread_budget() if threads is None else threads
     master = np.random.SeedSequence(seed)
-    children = master.spawn(len(j_values) * samples)
+    children = master.spawn(len(_SHELLS) * samples)
 
     def sample(n: int) -> float:
-        i = n // samples
-        u = random_modulation_shell(grid, size, 2.0 * np.pi, j_values[i], children[n], params, weights[i])
-        return strichartz_ratio(u, j_values[i], r=4.0, T=0.5, params=params, weight=weights[i])
+        j = n // samples
+        u = random_modulation_shell(grid, _SIZE, 2.0 * np.pi, j, children[n], params, weights[j])
+        return strichartz_ratio(u, j, r=4.0, T=0.5, params=params, weight=weights[j])
 
     # each shell's compact weight once, then one pool task per sample
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        weights = list(pool.map(lambda j: _shell_weight(grid, size, 2.0 * np.pi, params, j), j_values))
+    with ThreadPoolExecutor(max_workers=thread_budget()) as pool:
+        weights = list(pool.map(lambda j: _shell_weight(grid, _SIZE, 2.0 * np.pi, params, j), _SHELLS))
         ratios = list(pool.map(sample, range(len(children))))
-    blocks = [ratios[i * samples : (i + 1) * samples] for i in range(len(j_values))]
 
     rows = []
     max_log2 = []
-    for j, block in zip(j_values, blocks):
+    for j in _SHELLS:
+        block = ratios[j * samples : (j + 1) * samples]
         for k, value in enumerate(block):
             rows.append({"j": j, "r": 4.0, "sample": k, "ratio": value})
         max_log2.append(np.log2(max(block)))
-    slope = float(np.polyfit(np.asarray(j_values, dtype=float), np.asarray(max_log2), 1)[0])
+    # least-squares slope in closed form: np.polyfit would solve it through LAPACK
+    x = np.asarray(_SHELLS, dtype=float) - np.mean(_SHELLS)
+    y = np.asarray(max_log2)
+    slope = float(np.sum(x * (y - np.mean(y))) / np.sum(x * x))
     finite = bool(np.all(np.isfinite(ratios)))
     return SuiteReport(
         suite="strichartz",
@@ -176,7 +177,7 @@ def strichartz_suite(
             "slope": slope,
             "threshold": 0.1,
             "samples_per_shell": samples,
-            "max_log2_ratio": {str(j): float(v) for j, v in zip(j_values, max_log2)},
+            "max_log2_ratio": {str(j): float(v) for j, v in zip(_SHELLS, max_log2)},
         },
         rows=tuple(rows),
     )
@@ -188,7 +189,6 @@ def strichartz_suite(
 def convolution_suite(seed: int, samples: int = 201) -> SuiteReport:
     """Bound ratios over a grid of offsets for several gamma; passes when all
     ratios are finite and the gamma = 2 spot value matches pi/2 to 1e-8."""
-    from .convbounds import convolution_bound_check  # the one user of scipy.integrate
     a_grid = np.linspace(-100.0, 100.0, samples)
     rows = []
     worst_bracket: dict[float, float] = {}
@@ -230,26 +230,29 @@ def convolution_suite(seed: int, samples: int = 201) -> SuiteReport:
 # -- dyadic telescoping ----------------------------------------------------------
 
 
-def dyadic_suite(seed: int, samples: int = 1_000_000, j_max: int = 40) -> SuiteReport:
-    """Exact telescoping sum_(j<=J) eta_j(x) = psi(2^-J x) on a wide grid;
+_J_MAX = 40  # the dyadic suite's top shell J
+
+
+def dyadic_suite(seed: int, samples: int = 1_000_000) -> SuiteReport:
+    """Exact telescoping sum_(j<=J) eta_j(x) = psi(2^-J x), J = 40, on a wide grid;
     passes when the worst defect is <= 1e-15.  One psi pass per shell serves
     shells j and j+1; dyadic_eta itself is checked on every 101st point of
     every shell, and its largest mismatch counts as a defect."""
     rng = np.random.default_rng([seed, 0xD7AD1C])
     n_random = samples // 2
-    exponents = rng.uniform(-10.0, float(j_max + 1), size=n_random)
+    exponents = rng.uniform(-10.0, float(_J_MAX + 1), size=n_random)
     signs = rng.choice([-1.0, 1.0], size=n_random)
     x = np.concatenate(
         [
             signs * (2.0**exponents),
-            np.linspace(-(2.0 ** (j_max + 1)), 2.0 ** (j_max + 1), samples - n_random),
+            np.linspace(-(2.0 ** (_J_MAX + 1)), 2.0 ** (_J_MAX + 1), samples - n_random),
         ]
     )
-    del exponents, signs  # not held through the shell passes, which peak at j_max
+    del exponents, signs  # not held through the shell passes, which peak at J
     defects = []  # dyadic_eta against each shell on the probe, then the telescoping
     total = np.zeros_like(x)
     prev = np.zeros_like(x)  # psi(2^(1-j) x), with 0 below shell 0 where eta_0 = psi
-    for j in range(j_max + 1):
+    for j in range(_J_MAX + 1):
         cur = cutoff_psi(np.ldexp(x, -j))
         np.subtract(cur, prev, out=prev)  # eta_j, in the buffer freed on the next line
         total += prev
@@ -261,8 +264,8 @@ def dyadic_suite(seed: int, samples: int = 1_000_000, j_max: int = 40) -> SuiteR
         suite="dyadic",
         seed=seed,
         passed=worst <= 1e-15,
-        summary={"max_defect": worst, "threshold": 1e-15, "points": samples, "j_max": j_max},
-        rows=({"j_max": j_max, "points": samples, "max_defect": worst},),
+        summary={"max_defect": worst, "threshold": 1e-15, "points": samples, "j_max": _J_MAX},
+        rows=({"j_max": _J_MAX, "points": samples, "max_defect": worst},),
     )
 
 

@@ -1,4 +1,4 @@
-"""No kp5 reduction goes through BLAS.
+"""No kp5 reduction goes through BLAS or LAPACK.
 
 OpenBLAS splits a reduction by its own thread count, so a norm summed through
 it can change its last bits with ``OPENBLAS_NUM_THREADS``.  kp5 sums every
@@ -15,8 +15,9 @@ ROOT = Path(__file__).resolve().parent.parent
 
 _SOURCES = sorted((ROOT / "src" / "kp5").glob("*.py"))
 
-# numpy entry points that call BLAS for float arrays; einsum does only when asked to optimize
-_BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "tensordot"}
+# numpy entry points that call BLAS (or, for the fits, LAPACK) for float arrays;
+# einsum does only when asked to optimize
+_BLAS_CALLS = {"dot", "vdot", "inner", "matmul", "tensordot", "polyfit", "lstsq"}
 
 
 def _in_numpy_linalg(module: str) -> bool:
@@ -64,12 +65,13 @@ def _blas_references(source: str) -> list[int]:
         ("x = a.dot(b)\n", 1),
         ("from numpy import dot, vdot\n", 1),
         ("x = a @ b\nx @= b\n", 2),
+        ("from numpy import polyfit\nslope = scipy.linalg.lstsq(a, b)[0]\n", 2),
         ("x = np.einsum('ij,jk->ik', a, b, optimize=True)\n", 1),
         ("inner = np.einsum('rk,rk->k', v, v)  # not np.dot\n", 0),
     ],
     ids=[
         "np-linalg", "numpy-linalg", "import", "from-numpy", "from-numpy-linalg", "products",
-        "matmul-tensordot", "method", "from-numpy-products", "operator", "optimized-einsum", "einsum",
+        "matmul-tensordot", "method", "from-numpy-products", "operator", "fits", "optimized-einsum", "einsum",
     ],
 )
 def test_the_scan_finds_each_spelling_of_a_blas_call(source, count):

@@ -1,6 +1,7 @@
 import json
 import os
 import socket
+import stat
 import struct
 import subprocess
 import sys
@@ -487,6 +488,22 @@ def test_lock_names_its_holder_while_held(tmp_path, monkeypatch):
     assert seen[0]["host"] == socket.gethostname()
     assert seen[0]["started"].endswith("Z")
     assert not (tmp_path / "held").exists()  # lock released, empty directory removed
+
+
+def test_the_lock_is_not_executable_while_held(tmp_path, monkeypatch):
+    modes = []
+
+    def run_suite(*args):
+        modes.append(stat.S_IMODE((tmp_path / "held" / ".kp5.lock").stat().st_mode))
+        raise ValueError("stop here")
+
+    monkeypatch.setattr("kp5.cli.run_suite", run_suite)
+    umask = os.umask(0)  # nothing masked: the mode is the one the lock was created with
+    try:
+        assert main(["verify", "dyadic", "--out", str(tmp_path / "held"), "--quiet"]) == 2
+    finally:
+        os.umask(umask)
+    assert modes == [0o644]
 
 
 def _locked_dir(tmp_path, text):

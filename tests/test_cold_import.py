@@ -1,9 +1,10 @@
-"""``kp5`` loads ``kp5.convbounds``, and ``scipy.integrate`` with it, only on first use.
+"""``scipy.integrate`` loads on the first quadrature, not with ``kp5``.
 
 Only ``kp5 verify convolution`` needs adaptive quadrature; ``scipy.integrate``
 pulls in ``scipy.optimize``, ``scipy.sparse`` and ``scipy.linalg``, which no
-other command uses. Each check runs in a fresh interpreter, so modules that
-other tests imported do not count.
+other command uses. ``kp5.convbounds`` itself imports only numpy, and its
+``quad`` loads ``scipy.integrate`` on the first call. Each check runs in a
+fresh interpreter, so modules that other tests imported do not count.
 """
 
 import subprocess
@@ -11,6 +12,8 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+_HEAVY = "['scipy.integrate', 'scipy.optimize', 'scipy.sparse', 'scipy.linalg']"
 
 
 def _run(code: str) -> None:
@@ -22,23 +25,27 @@ def _run(code: str) -> None:
 
 def test_importing_the_cli_leaves_quadrature_and_its_scipy_subpackages_out():
     _run(
-        "import sys, kp5.cli\n"
-        "heavy = ['kp5.convbounds', 'scipy.integrate', 'scipy.optimize', 'scipy.sparse', 'scipy.linalg']\n"
-        "loaded = [m for m in heavy if m in sys.modules]\n"
+        "import sys, kp5, kp5.cli\n"
+        "kp5.convolution_bound_check, kp5.ConvolutionBoundResult\n"
+        f"loaded = [m for m in {_HEAVY} if m in sys.modules]\n"
         "assert not loaded, loaded\n"
     )
 
 
-def test_the_lazy_names_resolve_and_an_unknown_name_raises_attribute_error():
+def test_the_first_bound_check_loads_scipy_integrate():
     _run(
         "import sys, kp5\n"
-        "from kp5 import ConvolutionBoundResult, convolution_bound_check\n"
+        "result = kp5.convolution_bound_check(2.0, 0.0)\n"
         "assert 'scipy.integrate' in sys.modules\n"
-        "result = convolution_bound_check(2.0, 0.0)\n"
-        "assert isinstance(result, ConvolutionBoundResult) and result.lhs_bracket > 0.0\n"
+        "assert isinstance(result, kp5.ConvolutionBoundResult) and result.lhs_bracket > 0.0\n"
+    )
+
+
+def test_every_exported_name_resolves_and_an_unknown_name_raises_attribute_error():
+    _run(
+        "import kp5\n"
         "for name in kp5.__all__:\n"
         "    getattr(kp5, name)\n"
-        "assert 'convolution_bound_check' not in vars(kp5)  # resolved on each access, never cached\n"
         "try:\n"
         "    kp5.no_such_name\n"
         "except AttributeError as exc:\n"

@@ -30,6 +30,19 @@ def test_omega_on_the_zero_line():
         dispersion_omega(np.array([0.0, 1.0]), np.array([0.0, 1.0]), params)
 
 
+@pytest.mark.parametrize("sign", list(KPSign))
+@pytest.mark.parametrize("alpha", [-1.3, 0.0, 0.7])
+def test_a_scalar_omega_is_the_array_formula_to_the_bit(sign, alpha):
+    params = DispersionParams(kp_sign=sign, alpha=alpha)
+    rng = np.random.default_rng(7)
+    xs = 10.0 ** rng.uniform(-3.0, 3.0, 2_000) * rng.choice([-1.0, 1.0], 2_000)
+    ms = 10.0 ** rng.uniform(-3.0, 3.0, 2_000) * rng.choice([-1.0, 1.0], 2_000)
+    for x, m in zip(xs.tolist(), ms.tolist()):
+        got = dispersion_omega(x, m, params)
+        assert type(got) is float
+        assert got == dispersion_omega(np.array([x]), np.array([m]), params)[0], (x, m)
+
+
 def test_the_zero_mode_keyword_is_gone():
     with pytest.raises(TypeError):
         DispersionParams(zero_mode="error")

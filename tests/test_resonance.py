@@ -158,10 +158,17 @@ def test_kp2_ratio_example():
     assert kp2_lower_bound_ratio(1.0, 1.0, 0.0, 0.0) == pytest.approx(15.0 / 8.0, rel=1e-13)
 
 
+def test_kp2_ratio_takes_no_alpha():
+    with pytest.raises(TypeError):
+        kp2_lower_bound_ratio(1.0, 1.0, 0.0, 0.0, alpha=0.0)
+    with pytest.raises(TypeError):
+        kp2_lower_bound_ratio(1.0, 1.0, 0.0, 0.0, 0.0)
+
+
 def test_kp2_ratio_at_least_one_on_random_samples():
     rng = np.random.default_rng(7)
     xi1, xi2, mu1, mu2 = _sample(rng, 10_000)
-    ratios = kp2_lower_bound_ratio(xi1, xi2, mu1, mu2, alpha=0.0)
+    ratios = kp2_lower_bound_ratio(xi1, xi2, mu1, mu2)
     assert float(np.min(ratios)) >= 1.0
 
 
@@ -169,7 +176,7 @@ def test_kp2_ratio_parallel_worst_family():
     rng = np.random.default_rng(8)
     xi1, xi2, mu1, _ = _sample(rng, 5_000)
     mu2 = xi2 * (mu1 / xi1)
-    ratios = kp2_lower_bound_ratio(xi1, xi2, mu1, mu2, alpha=0.0)
+    ratios = kp2_lower_bound_ratio(xi1, xi2, mu1, mu2)
     assert float(np.min(ratios)) >= 1.0
     # equal-magnitude pairs saturate at exactly 15/8
     assert kp2_lower_bound_ratio(2.0, 2.0, 1.0, 1.0) == pytest.approx(15.0 / 8.0, rel=1e-13)

@@ -49,6 +49,14 @@ def test_the_constructor_copies_caller_data_and_leaves_it_writable(grid16):
         SpaceTimeField._from_owned(grid16, 3, 1.0, np.zeros_like(d))
 
 
+def test_equality_and_hashing_are_by_identity(grid16):
+    d = np.zeros((4, grid16.ny, grid16.nx), dtype=np.complex128)
+    u = SpaceTimeField(grid16, 4, 1.0, d)
+    v = SpaceTimeField(grid16, 4, 1.0, d)
+    assert u == u and u != v  # same data, yet two fields
+    assert len({u, v, u}) == 2
+
+
 def test_slices_match_time_samples(grid16, kp1):
     phi = Field.single_mode(grid16, 1, 0)
     st = sample_linear_flow(phi, NT, TW, kp1)

@@ -58,7 +58,7 @@ def test_resonance_suite_passes_where_a_float64_reference_cancelled():
     assert report.summary["max_defect"] <= 1e-11
 
 
-def _dyadic_per_shell_loop(seed, samples, j_max):
+def _dyadic_per_shell_loop(seed, samples, j_max=40):
     """dyadic_suite as first written: dyadic_eta on every point of every shell."""
     rng = np.random.default_rng([seed, 0xD7AD1C])
     n_random = samples // 2
@@ -83,13 +83,9 @@ def _dyadic_per_shell_loop(seed, samples, j_max):
     )
 
 
-@given(
-    seed=st.integers(0, 2**63 - 1),
-    samples=st.integers(1, 2_000),
-    j_max=st.integers(0, 12),
-)
-def test_dyadic_shared_pass_matches_the_per_shell_loop(seed, samples, j_max):
-    assert dyadic_suite(seed, samples, j_max) == _dyadic_per_shell_loop(seed, samples, j_max)
+@given(seed=st.integers(0, 2**63 - 1), samples=st.integers(1, 2_000))
+def test_dyadic_shared_pass_matches_the_per_shell_loop(seed, samples):
+    assert dyadic_suite(seed, samples) == _dyadic_per_shell_loop(seed, samples)
 
 
 def test_dyadic_suite_checks_dyadic_eta_itself(monkeypatch):
@@ -99,7 +95,7 @@ def test_dyadic_suite_checks_dyadic_eta_itself(monkeypatch):
         return dyadic_eta(j, x) + (1e-12 if j == 3 else 0.0)
 
     monkeypatch.setattr(kp5.sweeps, "dyadic_eta", off_on_shell_3)
-    report = dyadic_suite(5, 10_000, 8)
+    report = dyadic_suite(5, 10_000)
     assert report.passed is False
     assert report.summary["max_defect"] == pytest.approx(1e-12, rel=1e-3)
 
@@ -112,14 +108,16 @@ def test_suite_reports_are_seed_deterministic():
     assert c.summary["max_defect"] != a.summary["max_defect"]
 
 
-def test_strichartz_worker_count_invariance():
+def test_strichartz_worker_count_invariance(monkeypatch):
     """Per-sample tasks share the compact shell weights read-only: four workers
     switching threads every microsecond give the serial rows."""
-    serial = strichartz_suite(5, 3, j_values=(0, 3, 5), size=16, threads=1)
+    monkeypatch.setenv("KP5_THREADS", "1")
+    serial = strichartz_suite(5, 3)
+    monkeypatch.setenv("KP5_THREADS", "4")
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
-        threaded = strichartz_suite(5, 3, j_values=(0, 3, 5), size=16, threads=4)
+        threaded = strichartz_suite(5, 3)
     finally:
         sys.setswitchinterval(interval)
     assert serial.rows == threaded.rows
@@ -135,8 +133,24 @@ def test_strichartz_computes_each_shell_weight_once(monkeypatch, threads):
         return dyadic_eta(j, x)
 
     monkeypatch.setattr(kp5.spacetime, "dyadic_eta", counting)
-    strichartz_suite(5, 3, j_values=(0, 2, 3), size=16, threads=threads)
-    assert sorted(calls) == [0, 2, 3]
+    monkeypatch.setenv("KP5_THREADS", str(threads))
+    strichartz_suite(5, 3)
+    assert sorted(calls) == list(range(9))
+
+
+@pytest.mark.parametrize(
+    "suite, name",
+    [(strichartz_suite, "j_values"), (strichartz_suite, "size"), (strichartz_suite, "threads"), (dyadic_suite, "j_max")],
+)
+def test_the_suite_sizes_and_workers_are_not_arguments(suite, name):
+    with pytest.raises(TypeError):
+        suite(5, 3, **{name: 1})
+
+
+def test_strichartz_slope_is_the_least_squares_fit():
+    report = strichartz_suite(5, 3)
+    max_log2 = [report.summary["max_log2_ratio"][str(j)] for j in range(9)]
+    assert report.summary["slope"] == pytest.approx(np.polyfit(np.arange(9.0), max_log2, 1)[0], rel=1e-12)
 
 
 def test_thread_budget_env(monkeypatch):
