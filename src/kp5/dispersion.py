@@ -3,7 +3,8 @@
 The symbol is ``omega(xi, mu) = sign*xi**5 - alpha*xi**3 + mu**2/xi`` with
 ``sign = +1`` for the KP-I branch and ``-1`` for KP-II.  It is singular on
 ``xi = 0``: kp5 works with zero x-mean data, so that line is projected away
-(``symbols.zero_mode_project``) and the symbol is held at 0 there.
+(``symbols.zero_mode_project``).  ``dispersion_omega`` raises there, and
+``omega_on_grid`` holds the line at 0.
 """
 
 from __future__ import annotations
@@ -52,20 +53,16 @@ class DispersionParams:
 def dispersion_omega(xi, mu, params: DispersionParams):
     """Evaluate ``sign*xi**5 - alpha*xi**3 + mu**2/xi``.
 
-    Scalars and same-shaped arrays are both accepted.  The scalar point
-    ``(0, 0)`` returns 0, the value on the projected-away line; any other
-    xi = 0 evaluation raises ``SingularSymbolError``.
+    Scalars and same-shaped arrays are both accepted.  Any xi = 0 point raises
+    ``SingularSymbolError``.
     """
     xi_a = np.asarray(xi, dtype=float)
     mu_a = np.asarray(mu, dtype=float)
-    scalar = xi_a.ndim == 0 and mu_a.ndim == 0
     if np.any(xi_a == 0.0):
-        if scalar and mu_a == 0.0:
-            return 0.0
         raise SingularSymbolError("dispersion symbol is singular at xi=0; use omega_on_grid for lattices")
     # scalars take the array expression too: Python's float ** rounds differently from numpy's
     omega = params.sign * xi_a**5 - params.alpha * xi_a**3 + mu_a * mu_a / xi_a
-    return float(omega) if scalar else omega
+    return float(omega) if omega.ndim == 0 else omega
 
 
 def gradient_omega(xi, mu, params: DispersionParams):

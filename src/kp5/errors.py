@@ -12,7 +12,7 @@ class GridError(KP5Error, ValueError):
 
 
 class SingularSymbolError(KP5Error, ValueError):
-    """A symbol was evaluated on the singular line xi = 0."""
+    """A symbol was evaluated on the singular line xi = 0, at any mu."""
 
 
 class SymbolEvaluationError(KP5Error, ValueError):
@@ -28,7 +28,7 @@ class NormSpecError(KP5Error, ValueError):
 
 
 class SingularFrequencyError(KP5Error, ValueError):
-    """Resonance evaluated at a degenerate frequency pair it cannot resolve."""
+    """Resonance evaluated where xi1, xi2 or xi1+xi2 vanishes, where it is undefined."""
 
 
 class UndefinedRatioError(KP5Error, ZeroDivisionError):

@@ -67,7 +67,7 @@ class SolverConfig:
 
     @property
     def n_steps(self) -> int:
-        return max(1, int(round(self.t_final / self.dt)))
+        return int(round(self.t_final / self.dt))
 
 
 @dataclass(frozen=True)

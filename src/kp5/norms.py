@@ -113,7 +113,7 @@ def energy_functional(f: Field, alpha: float) -> float:
     weights = 0.5 * xi**4 - 0.5 * alpha * xi**2 + 0.5 * (grid.mu[:, None] / xi_safe) ** 2
     weights[:, 0] = 0.0  # xi = 0 line carries no content by precondition
     quadratic = grid.cell_area * _mirrored_total(_column_sums(f._stored, weights))
-    u = np.real(f.to_physical())
+    u = f.to_physical()
     # u * u * u, not u**3: numpy sends exponent 3 through libm pow
     cubic = grid.cell_area * float(np.sum(u * u * u)) / 6.0
     return quadratic + cubic

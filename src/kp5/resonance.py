@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dispersion import DispersionParams, KPSign, dispersion_omega
+from .dispersion import DispersionParams, KPSign
 from .errors import SingularFrequencyError
 
 __all__ = [
@@ -45,32 +45,15 @@ def _closed_form(xi1, xi2, mu1, mu2, sign: float, alpha: float):
 def resonance(xi1, xi2, mu1, mu2, params: DispersionParams):
     """Closed-form resonance value; scalars or same-shaped arrays.
 
-    Requires xi1, xi2, xi1+xi2 nonzero.  The scalar degenerate case
-    xi1+xi2 = 0 routes through the symbol identity (and needs mu1+mu2 = 0);
-    arrays must avoid it.
+    Defined only where xi1, xi2 and xi1+xi2 are all nonzero: on zero x-mean
+    data the quadratic term has no other interactions.  Anywhere else it
+    raises ``SingularFrequencyError``.
     """
-    xi1_a = np.asarray(xi1, dtype=float)
-    xi2_a = np.asarray(xi2, dtype=float)
-    mu1_a = np.asarray(mu1, dtype=float)
-    mu2_a = np.asarray(mu2, dtype=float)
-    scalar = xi1_a.ndim == 0 and xi2_a.ndim == 0 and mu1_a.ndim == 0 and mu2_a.ndim == 0
-
-    if np.any(xi1_a == 0.0) or np.any(xi2_a == 0.0):
-        raise SingularFrequencyError("resonance undefined when xi1 or xi2 vanishes")
-    if scalar and float(xi1_a) + float(xi2_a) == 0.0:
-        if float(mu1_a) + float(mu2_a) != 0.0:
-            raise SingularFrequencyError(
-                "resonance undefined: xi1+xi2 = 0 with mu1+mu2 != 0"
-            )
-        # omega(0, 0) = 0 (the projected-away line), so only the symbol terms remain
-        return -dispersion_omega(float(xi1_a), float(mu1_a), params) - dispersion_omega(
-            float(xi2_a), float(mu2_a), params
-        )
-    if np.any(xi1_a + xi2_a == 0.0):
-        raise SingularFrequencyError("array evaluation hit xi1+xi2 = 0")
-
+    xi1_a, xi2_a, mu1_a, mu2_a = (np.asarray(v, dtype=float) for v in (xi1, xi2, mu1, mu2))
+    if np.any(xi1_a == 0.0) or np.any(xi2_a == 0.0) or np.any(xi1_a + xi2_a == 0.0):
+        raise SingularFrequencyError("resonance undefined where xi1, xi2 or xi1+xi2 vanishes")
     out = _closed_form(xi1_a, xi2_a, mu1_a, mu2_a, params.sign, params.alpha)
-    return float(out) if scalar else out
+    return float(out) if out.ndim == 0 else out
 
 
 _CHUNK = 8192  # samples per extended-precision block of the identity check
@@ -95,13 +78,11 @@ def resonance_identity_check(xi1, xi2, mu1, mu2, params: DispersionParams):
     for lo in range(0, r.size, _CHUNK):
         a1, a2, b1, b2 = (v[lo : lo + _CHUNK].astype(np.longdouble) for v in (x1, x2, m1, m2))
         c = r[lo : lo + _CHUNK]
-        s = a1 + a2
-        if s.all():
-            ref = _omega_extended(s, b1 + b2, params.sign, params.alpha)
-        else:  # resonance admits xi1 + xi2 = 0 only as a scalar with mu1 + mu2 = 0
-            ref = np.zeros_like(s)  # omega(0, 0) = 0
-        ref -= _omega_extended(a1, b1, params.sign, params.alpha)
-        ref -= _omega_extended(a2, b2, params.sign, params.alpha)
+        ref = (
+            _omega_extended(a1 + a2, b1 + b2, params.sign, params.alpha)
+            - _omega_extended(a1, b1, params.sign, params.alpha)
+            - _omega_extended(a2, b2, params.sign, params.alpha)
+        )
         defect[lo : lo + _CHUNK] = np.abs((c - ref).astype(float)) / np.maximum(1.0, np.abs(c))
     return float(defect[0]) if args[4].ndim == 0 else defect.reshape(args[4].shape)
 

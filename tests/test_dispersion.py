@@ -22,8 +22,9 @@ def test_omega_values(xi, mu, sign, alpha, expected):
 
 def test_omega_on_the_zero_line():
     params = DispersionParams()
-    assert dispersion_omega(0.0, 0.0, params) == 0.0
-    # asked directly at xi=0, mu!=0 the symbol signals
+    # asked directly at xi=0 the symbol signals, at mu = 0 as at any other mu
+    with pytest.raises(SingularSymbolError):
+        dispersion_omega(0.0, 0.0, params)
     with pytest.raises(SingularSymbolError):
         dispersion_omega(0.0, 1.0, params)
     with pytest.raises(SingularSymbolError):

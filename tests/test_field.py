@@ -116,7 +116,7 @@ def test_every_input_that_is_not_a_real_field_is_rejected():
     # a space-time spectrum of random coefficients has complex time slices
     coeffs = rng.standard_normal((4,) + grid.shape) + 1j * rng.standard_normal((4,) + grid.shape)
     with pytest.raises(ValueError, match="real field"):
-        SpaceTimeField(grid, 4, 1.0, coeffs).slices()
+        SpaceTimeField(grid, 1.0, coeffs).slices()
     # the flow of a real field samples real slices
     flow = sample_linear_flow(real, 4, 1.0, DispersionParams(kp_sign=KPSign.KP1, alpha=0.0))
     assert all(s.to_physical().dtype == np.float64 for s in flow.slices())
@@ -136,7 +136,7 @@ def test_non_finite_coefficients_are_named_not_called_asymmetric(values):
         with pytest.raises(ValueError, match=f"^{bad} of 48 coefficients are not finite$"):
             Field.from_spectral(grid, coeffs)
         with pytest.raises(ValueError, match="coefficients are not finite$"):
-            SpaceTimeField(grid, 4, 1.0, spectrum).slices()
+            SpaceTimeField(grid, 1.0, spectrum).slices()
 
 
 def test_from_spectral_checks_the_shape_first_and_keeps_only_a_copy_of_the_half():

@@ -37,7 +37,7 @@ from kp5 import (
     x_derivative,
 )
 from kp5.duhamel import _trapezoid_prefix
-from kp5.errors import ZeroMassViolationError
+from kp5.errors import SingularFrequencyError, ZeroMassViolationError
 from kp5.evolution import linear_propagate
 from kp5.field import _column_sums, _defect, _mirrored_total, hermitian_complete, hermitian_reflect, is_hermitian
 from kp5.symbols import _ZERO_LINE_TOL, require_zero_x_mean, zero_mode_project
@@ -193,7 +193,7 @@ def test_require_zero_x_mean_raises_exactly_above_the_tolerance(nx, seed, expone
     shape = (4,) + grid.shape if spacetime else grid.shape
     data = _complex(rng, shape)
     data[..., 0] *= 10.0**exponent / np.max(np.abs(data[..., 0]))
-    f = SpaceTimeField(grid, 4, 1.0, data) if spacetime else Field(grid, data)
+    f = SpaceTimeField(grid, 1.0, data) if spacetime else Field(grid, data)
     content = f.x_mean_content()
     assume(content != _ZERO_LINE_TOL)
     if content > _ZERO_LINE_TOL:
@@ -230,7 +230,7 @@ def test_selected_time_slices_transform_like_the_full_field(nt, n, seed, data):
     columns = np.array(sorted(data.draw(st.sets(st.integers(1, n - 1), max_size=n - 1))), dtype=int)
     coeffs = np.zeros((nt, n, n), dtype=complex)
     coeffs[:, :, columns] = _complex(np.random.default_rng(seed), (nt, n, len(columns)))
-    u = SpaceTimeField.from_spectral(grid, 2 * np.pi, coeffs)
+    u = SpaceTimeField(grid, 2 * np.pi, coeffs)
     keep = np.array(data.draw(st.lists(st.booleans(), min_size=nt, max_size=nt)))
     got = _kept_slices(u.data[:, :, columns], columns, n, keep)
     assert got.tobytes() == u.to_physical()[keep].tobytes()
@@ -349,6 +349,36 @@ def test_resonance_identity_holds_to_rounding(xi1, xi2, mu1, mu2, alpha, sign):
     w2 = dispersion_omega(xi2, mu2, params)
     scale = abs(w_sum) + abs(w1) + abs(w2) + abs(closed)
     assert abs(closed - (w_sum - w1 - w2)) <= 256 * np.finfo(float).eps * scale
+
+
+@given(
+    xi1=frequencies, xi2=frequencies, mu1=frequencies, mu2=frequencies,
+    line=st.sampled_from([None, "xi1", "xi2", "sum"]),
+    zero=st.sampled_from([0.0, -0.0]),
+    alpha=st.floats(min_value=-2.0, max_value=2.0),
+    sign=st.sampled_from(list(KPSign)),
+)
+def test_a_scalar_resonance_is_the_array_formula_to_the_bit(xi1, xi2, mu1, mu2, line, zero, alpha, sign):
+    """A scalar call returns the bits of the one-element array call, and the two
+    raise on the same points: those on the lines xi1 = 0, xi2 = 0 and xi1 + xi2 = 0."""
+    if line == "xi1":
+        xi1 = zero
+    elif line == "xi2":
+        xi2 = zero
+    elif line == "sum":
+        xi2 = -xi1
+    params = DispersionParams(kp_sign=sign, alpha=alpha)
+    point = (xi1, xi2, mu1, mu2)
+    if xi1 == 0.0 or xi2 == 0.0 or xi1 + xi2 == 0.0:
+        with pytest.raises(SingularFrequencyError):
+            resonance(*point, params)
+        with pytest.raises(SingularFrequencyError):
+            resonance(*(np.array([v]) for v in point), params)
+    else:
+        assert line is None
+        got = resonance(*point, params)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == resonance(*(np.array([v]) for v in point), params).tobytes()
 
 
 def _reference_bump(s):

@@ -25,7 +25,7 @@ def _zero_mean_spectral(grid, rng):
         (NT, grid.ny, grid.nx)
     )
     coeffs[:, :, 0] = 0.0
-    return SpaceTimeField.from_spectral(grid, TW, coeffs)
+    return SpaceTimeField(grid, TW, coeffs)
 
 
 def test_roundtrip_and_plancherel(grid16):
@@ -38,21 +38,36 @@ def test_roundtrip_and_plancherel(grid16):
 
 def test_the_constructor_copies_caller_data_and_leaves_it_writable(grid16):
     d = np.zeros((4, grid16.ny, grid16.nx), dtype=np.complex128)
-    u = SpaceTimeField(grid16, 4, 1.0, d)
+    u = SpaceTimeField(grid16, 1.0, d)
     d[1, 1, 1] = np.inf  # the caller's array is still its own
     assert not np.shares_memory(u.data, d) and not u.data.flags.writeable
     assert np.all(u.data == 0.0)
     # the internal path takes ownership of a spectrum it just allocated: no copy
     fresh = np.zeros_like(d)
-    assert SpaceTimeField._from_owned(grid16, 4, 1.0, fresh).data is fresh and not fresh.flags.writeable
-    with pytest.raises(ValueError, match="shape"):
-        SpaceTimeField._from_owned(grid16, 3, 1.0, np.zeros_like(d))
+    assert SpaceTimeField._from_owned(grid16, 1.0, fresh).data is fresh and not fresh.flags.writeable
+
+
+def test_nt_is_read_from_the_data_by_the_one_constructor(grid16):
+    for nt in (1, 3, 4):
+        d = np.zeros((nt, grid16.ny, grid16.nx), dtype=np.complex128)
+        u = SpaceTimeField(grid16, 1.0, d)
+        assert u.nt == nt == len(u.times)
+    with pytest.raises(AttributeError):
+        u.nt = 3
+    assert not hasattr(SpaceTimeField, "from_spectral")
+    with pytest.raises(TypeError):
+        SpaceTimeField(grid16, 4, 1.0, d)
+    for shape in ((0, grid16.ny, grid16.nx), (grid16.ny, grid16.nx), (4, grid16.ny, grid16.nx - 1)):
+        with pytest.raises(ValueError, match="shape"):
+            SpaceTimeField(grid16, 1.0, np.zeros(shape, dtype=np.complex128))
+    with pytest.raises(ValueError, match="complex128"):
+        SpaceTimeField(grid16, 1.0, d.astype(np.complex64))
 
 
 def test_equality_and_hashing_are_by_identity(grid16):
     d = np.zeros((4, grid16.ny, grid16.nx), dtype=np.complex128)
-    u = SpaceTimeField(grid16, 4, 1.0, d)
-    v = SpaceTimeField(grid16, 4, 1.0, d)
+    u = SpaceTimeField(grid16, 1.0, d)
+    v = SpaceTimeField(grid16, 1.0, d)
     assert u == u and u != v  # same data, yet two fields
     assert len({u, v, u}) == 2
 
@@ -78,7 +93,7 @@ def test_bourgain_b0_is_spacetime_l2(grid16, kp1):
 def test_bourgain_single_spacetime_mode(grid16, kp1):
     coeffs = np.zeros((NT, grid16.ny, grid16.nx), dtype=complex)
     coeffs[3, 2, 1] = 1.0  # tau = 3, mu = 2, xi = 1
-    st = SpaceTimeField.from_spectral(grid16, TW, coeffs)
+    st = SpaceTimeField(grid16, TW, coeffs)
     omega = dispersion_omega(1.0, 2.0, kp1)
     expected = bracket(3.0 - omega) ** 0.5 * bracket(1.0) * bracket(2.0) ** 2
     assert bourgain_norm(st, NormSpec(1.0, 2.0, 0.5), kp1) == pytest.approx(expected, rel=1e-13)
@@ -87,7 +102,7 @@ def test_bourgain_single_spacetime_mode(grid16, kp1):
 def test_bourgain_rejects_x_mean_content(grid16, kp1):
     coeffs = np.zeros((NT, grid16.ny, grid16.nx), dtype=complex)
     coeffs[0, 1, 0] = 1.0
-    st = SpaceTimeField.from_spectral(grid16, TW, coeffs)
+    st = SpaceTimeField(grid16, TW, coeffs)
     with pytest.raises(ZeroMassViolationError):
         bourgain_norm(st, NormSpec(0, 0, 0.0), kp1)
 
@@ -124,7 +139,7 @@ def test_modulation_project_support(grid16, kp1):
     for it, tau in enumerate(sigma):
         if abs(tau - 1.0) <= 1.0:
             coeffs[it, iy, ix] = 0.3
-    st = SpaceTimeField.from_spectral(grid16, TW, coeffs)
+    st = SpaceTimeField(grid16, TW, coeffs)
     kept = modulation_project(st, 0, kp1)
     assert kept.l2_norm() == pytest.approx(st.l2_norm(), rel=1e-12)
     gone = modulation_project(st, 5, kp1)
@@ -148,7 +163,7 @@ def test_modulation_telescoping(grid16, kp1):
 
 
 def test_strichartz_ratio_errors(grid16, kp1):
-    empty = SpaceTimeField.from_spectral(
+    empty = SpaceTimeField(
         grid16, TW, np.zeros((NT, grid16.ny, grid16.nx), dtype=complex)
     )
     with pytest.raises(UndefinedRatioError):
@@ -283,7 +298,7 @@ def _full_lattice_ratio(u, j, r, T, params):
     coeffs[:, :, 0] = 0.0
     assert np.array_equal(coeffs, modulation_project(u, j, params).data)
     l2 = np.sqrt(np.sum(_column_sums(coeffs))) * np.sqrt(u.cell_volume)
-    smoothed = SpaceTimeField(u.grid, u.nt, u.t_window, coeffs * np.abs(u.grid.xi_mesh) ** (0.5 - 1.0 / r))
+    smoothed = SpaceTimeField(u.grid, u.t_window, coeffs * np.abs(u.grid.xi_mesh) ** (0.5 - 1.0 / r))
     magnitudes = np.abs(smoothed.to_physical()[_restriction_mask(u, T)])
     inner = (np.sum(magnitudes**r, axis=(1, 2)) * u.grid.cell_area) ** (1.0 / r)
     if r == 2:
