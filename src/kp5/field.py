@@ -82,6 +82,8 @@ def _mirrored_total(column_sums: np.ndarray) -> float:
 
 def _x_mean_content(data: np.ndarray) -> float:
     line = float(np.max(np.abs(data[..., 0])))
+    if line == 0.0:  # 0.0 whatever the scale, so skip the full-array pass
+        return 0.0
     scale = float(np.max(np.abs(data)))
     return line / scale if scale > 0.0 else 0.0
 

@@ -209,3 +209,25 @@ def test_threads_reading_data_of_one_half_backed_field_get_equal_write_locked_ar
         assert [a.tobytes() for a in arrays] == expected
         assert not any(a.flags.writeable for a in arrays)
     assert [f.data.tobytes() for f in fields] == expected
+
+
+
+def test_a_zero_xi_line_gives_zero_x_mean_content_whatever_the_scale():
+    """The early return for an exactly zero xi = 0 line gives the ratio formula's value
+    for every scale, zero, infinite and NaN included."""
+    from kp5.field import _x_mean_content
+
+    def formula(data):
+        line, scale = float(np.max(np.abs(data[..., 0]))), float(np.max(np.abs(data)))
+        return line / scale if scale > 0.0 else 0.0
+
+    for rest in (0.0, -0.0, 1.0, np.nan, np.inf):
+        data = np.full((3, 4, 6), rest, dtype=complex)
+        data[..., 0] = -0.0 if rest else 0.0
+        assert _x_mean_content(data) == formula(data) == 0.0
+    data = np.ones((3, 4, 6), dtype=complex)
+    data[..., 0] = 0.0
+    data[1, 2, 0] = 0.5j
+    assert _x_mean_content(data) == formula(data) == 0.5
+    data[0, 0, 0] = np.nan
+    assert _x_mean_content(data) == formula(data) == 0.0  # a NaN line: the NaN scale gives 0.0

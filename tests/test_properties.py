@@ -3,6 +3,7 @@ goes through."""
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -234,6 +235,85 @@ def test_selected_time_slices_transform_like_the_full_field(nt, n, seed, data):
     keep = np.array(data.draw(st.lists(st.booleans(), min_size=nt, max_size=nt)))
     got = _kept_slices(u.data[:, :, columns], columns, n, keep)
     assert got.tobytes() == u.to_physical()[keep].tobytes()
+
+
+@given(
+    nt=st.integers(min_value=1, max_value=6),
+    nx=sizes,
+    ny=sizes,
+    seed=seeds,
+    real=st.booleans(),
+    zero_line=st.booleans(),
+    j=st.integers(min_value=0, max_value=6),
+    b=st.floats(min_value=-1.0, max_value=1.0),
+    sign=st.sampled_from(list(KPSign)),
+    data=st.data(),
+)
+def test_the_column_store_is_invisible(nt, nx, ny, seed, real, zero_line, j, b, sign, data):
+    """A field kept as a block on a few xi columns (xi = 0 among them or not) gives the
+    same bytes as the full-lattice formulas on its zero-padded lattice, errors included."""
+    from kp5 import modulation_project
+    from kp5.norms import _sobolev_weights
+    from kp5.spacetime import _sigma_lattice
+
+    grid = make_grid(nx, ny, 2 * np.pi, 2 * np.pi)
+    params = DispersionParams(kp_sign=sign, alpha=1.0)
+    tw = 2 * np.pi
+    columns = sorted(data.draw(st.sets(st.integers(0, nx - 1), max_size=nx)))
+    rng = np.random.default_rng(seed)
+    if real:  # a mirror-closed column set of a real field: every time slice is real
+        columns = sorted(set(columns) | {-c % nx for c in columns})
+        samples = rng.standard_normal((nt,) + grid.shape)
+        source = scipy.fft.ifft(scipy.fft.fft2(samples, axes=(1, 2), norm="ortho"), axis=0, norm="ortho")
+    else:
+        source = _complex(rng, (nt,) + grid.shape)
+    if zero_line:
+        source[:, :, 0] = 0.0
+    columns = np.array(columns, dtype=int)
+    full = np.zeros((nt,) + grid.shape, dtype=complex)
+    full[:, :, columns] = source[:, :, columns]
+    u = SpaceTimeField._from_block(grid, tw, columns, full[:, :, columns].copy())
+
+    def outcome(compute):
+        try:
+            return compute()
+        except (ValueError, ZeroMassViolationError) as exc:
+            return type(exc)
+
+    assert u.nt == nt and np.array_equal(u.columns, columns)
+    assert u.data.tobytes() == full.tobytes()
+    assert np.float64(u.l2_norm()).tobytes() == np.sqrt(np.sum(_column_sums(full))).tobytes()
+    line, scale = float(np.max(np.abs(full[..., 0]))), float(np.max(np.abs(full)))
+    assert u.x_mean_content() == (line / scale if scale > 0.0 else 0.0)
+    physical = scipy.fft.ifft2(scipy.fft.fft(full, axis=0, norm="ortho"), axes=(1, 2), norm="ortho")
+    assert u.to_physical().tobytes() == physical.tobytes()
+
+    spatial = scipy.fft.fft(full, axis=0, norm="ortho")
+    got = outcome(lambda: b"".join(f.data.tobytes() for f in u.slices()))
+    expected = outcome(lambda: b"".join(Field.from_spectral(grid, s).data.tobytes() for s in spatial))
+    assert got == expected
+    assert not real or got is not ValueError
+
+    def bourgain():
+        require_zero_x_mean(SpaceTimeField(grid, tw, full))
+        row, col = _sobolev_weights(grid, 1.0, 0.5)
+        weight = bracket(_sigma_lattice(grid, nt, tw, params)) ** b * (row * col)[None, :, :]
+        weight[:, :, 0] = 0.0
+        return np.sqrt(np.sum(_column_sums(weight * full))).tobytes()
+
+    got = outcome(lambda: np.float64(bourgain_norm(u, NormSpec(1.0, 0.5, b), params)).tobytes())
+    assert got == outcome(bourgain)
+    assert not zero_line or got is not ZeroMassViolationError
+
+    def projection():
+        require_zero_x_mean(SpaceTimeField(grid, tw, full))
+        weight = dyadic_eta(j, _sigma_lattice(grid, nt, tw, params))
+        support = np.flatnonzero(np.any(weight[:, :, 1:] != 0.0, axis=(0, 1))) + 1
+        out = np.zeros_like(full)
+        out[:, :, support] = weight[:, :, support] * np.abs(full[:, :, support])
+        return out.tobytes()
+
+    assert outcome(lambda: modulation_project(u, j, params).data.tobytes()) == outcome(projection)
 
 
 def _random_zero_mean(nx, ny, lx, ly, seed):

@@ -42,9 +42,12 @@ def test_the_constructor_copies_caller_data_and_leaves_it_writable(grid16):
     d[1, 1, 1] = np.inf  # the caller's array is still its own
     assert not np.shares_memory(u.data, d) and not u.data.flags.writeable
     assert np.all(u.data == 0.0)
-    # the internal path takes ownership of a spectrum it just allocated: no copy
-    fresh = np.zeros_like(d)
-    assert SpaceTimeField._from_owned(grid16, 1.0, fresh).data is fresh and not fresh.flags.writeable
+    # the internal path takes ownership of a block it just allocated: no copy
+    fresh = np.zeros((4, grid16.ny, 2), dtype=np.complex128)
+    v = SpaceTimeField._from_block(grid16, 1.0, np.array([3, 5]), fresh)
+    assert v._block is fresh and not fresh.flags.writeable and not v.columns.flags.writeable
+    # data is a new write-locked full lattice on each read
+    assert v.data is not v.data and v.data.shape == d.shape and not v.data.flags.writeable
 
 
 def test_nt_is_read_from_the_data_by_the_one_constructor(grid16):
@@ -367,3 +370,82 @@ def test_sampled_and_propagated_linear_flows_agree(grid16, kp1):
     slices = sample_linear_flow(phi, NT, TW, kp1).slices()
     for t, state in zip(np.arange(NT) * (TW / NT), slices):
         assert np.allclose(state.data, linear_propagate(phi, t, kp1).data, atol=1e-13)
+
+
+_SHELL_INDICES = list(range(13)) + [20, 40, 1026, 5000]
+
+
+@pytest.mark.parametrize("shape", [(64, 64), (32, 16), (16, 32), (8, 8)])
+@pytest.mark.parametrize("sign", ["kp1", "kp2"])
+def test_candidate_column_weights_match_the_full_lattice_bytes(shape, sign):
+    """Each shell's weight, computed on candidate columns only, is dyadic_eta on the
+    full sigma lattice restricted to its nonzero columns off xi = 0, bit for bit."""
+    from kp5 import DispersionParams, KPSign, make_grid
+    from kp5.cutoffs import dyadic_eta
+    from kp5.spacetime import _shell_weight, _sigma_lattice
+
+    nx, ny = shape
+    grid = make_grid(nx, ny, 2 * np.pi, 2 * np.pi)
+    for alpha in (0.0, 1.0, -2.5):
+        params = DispersionParams(kp_sign=KPSign.KP1 if sign == "kp1" else KPSign.KP2, alpha=alpha)
+        for nt in (1, 16, 33, 64):
+            sigma = _sigma_lattice(grid, nt, TW, params)
+            for j in _SHELL_INDICES:
+                full = dyadic_eta(j, sigma)
+                expected = np.flatnonzero(np.any(full[:, :, 1:] != 0.0, axis=(0, 1))) + 1
+                columns, block = _shell_weight(grid, nt, TW, params, j)
+                assert np.array_equal(columns, expected), (alpha, nt, j)
+                assert block.tobytes() == full[:, :, expected].tobytes(), (alpha, nt, j)
+                assert not columns.flags.writeable and not block.flags.writeable
+            # one time sample: sigma = 0 on the Nyquist column, where omega is held at 0
+            assert nx // 2 in _shell_weight(grid, 1, TW, params, 0)[0]
+        assert len(_shell_weight(grid, 64, TW, params, 1026)[0]) == 0
+
+
+@pytest.mark.parametrize("j", [-1, -5000, 2.5, float("nan"), float("inf"), float("-inf")])
+def test_invalid_shell_indices_reach_dyadic_eta_and_raise_its_error(grid16, kp1, j):
+    from kp5.spacetime import _shell_weight
+
+    with pytest.raises(ValueError, match="shell index must be a nonnegative integer"):
+        _shell_weight(grid16, NT, TW, kp1, j)
+
+
+def _traced_peak(compute) -> int:
+    import tracemalloc
+
+    compute()  # warm every cache first: only the call's own temporaries count
+    tracemalloc.start()
+    try:
+        compute()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+_LATTICE_BYTES = 64**3 * 16  # one complex 64^3 lattice: 4 MiB
+
+
+@pytest.mark.parametrize("j", range(9))
+def test_one_sweep_sample_allocates_less_than_one_full_lattice(kp1, j):
+    """The strichartz sweep's sample, with its shell weight precomputed, never builds a
+    64^3 lattice: the draw and the projection live on the shell's columns."""
+    from kp5 import make_grid
+    from kp5.spacetime import _shell_weight
+
+    grid = make_grid(64, 64, TW, TW)
+    weight = _shell_weight(grid, 64, TW, kp1, j)
+
+    def sample():
+        u = random_modulation_shell(grid, 64, TW, j, 7, kp1, weight)
+        return strichartz_ratio(u, j, r=4.0, T=0.5, params=kp1, weight=weight)
+
+    assert _traced_peak(sample) < _LATTICE_BYTES
+
+
+@pytest.mark.parametrize("j", range(9))
+def test_a_shell_weight_allocates_less_than_half_a_full_lattice(kp1, j):
+    from kp5 import make_grid
+    from kp5.spacetime import _shell_weight
+
+    grid = make_grid(64, 64, TW, TW)
+    assert _traced_peak(lambda: _shell_weight(grid, 64, TW, kp1, j)) < _LATTICE_BYTES // 2
