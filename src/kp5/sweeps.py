@@ -187,43 +187,39 @@ def strichartz_suite(seed: int, samples: int = 100) -> SuiteReport:
 
 
 def convolution_suite(seed: int, samples: int = 201) -> SuiteReport:
-    """Bound ratios over a grid of offsets for several gamma; passes when all
-    ratios are finite and the gamma = 2 spot value matches pi/2 to 1e-8."""
-    a_grid = np.linspace(-100.0, 100.0, samples)
-    rows = []
-    worst_bracket: dict[float, float] = {}
-    worst_sqrt: dict[float, float] = {}
-    for gamma in (1.1, 1.5, 2.0, 3.0):
-        worst_bracket[gamma] = 0.0
-        worst_sqrt[gamma] = 0.0
-        for a in a_grid:
-            res = convolution_bound_check(gamma, float(a))
-            rows.append(
-                {
-                    "gamma": gamma,
-                    "a": float(a),
-                    "lhs_bracket": res.lhs_bracket,
-                    "ratio_bracket": res.ratio_bracket,
-                    "lhs_sqrt": res.lhs_sqrt,
-                    "ratio_sqrt": res.ratio_sqrt,
-                }
-            )
-            worst_bracket[gamma] = max(worst_bracket[gamma], res.ratio_bracket)
-            worst_sqrt[gamma] = max(worst_sqrt[gamma], res.ratio_sqrt)
-    spot = convolution_bound_check(2.0, 0.0).lhs_bracket
-    spot_err = abs(spot - 0.5 * np.pi)
-    finite = all(np.isfinite(row["ratio_bracket"]) and np.isfinite(row["ratio_sqrt"]) for row in rows)
+    """Bound ratios over a grid of offsets for several gamma, in one array check
+    with the gamma = 2 spot value; passes when all ratios are finite and the
+    spot value matches pi/2 to 1e-8."""
+    gammas = (1.1, 1.5, 2.0, 3.0)
+    gamma = np.repeat(gammas, samples)
+    a = np.tile(np.linspace(-100.0, 100.0, samples), len(gammas))
+    res = convolution_bound_check(np.append(gamma, 2.0), np.append(a, 0.0))
+    n = gamma.size  # the element after the grid is the spot value
+    columns = {
+        "gamma": gamma,
+        "a": a,
+        "lhs_bracket": res.lhs_bracket[:n],
+        "ratio_bracket": res.ratio_bracket[:n],
+        "lhs_sqrt": res.lhs_sqrt[:n],
+        "ratio_sqrt": res.ratio_sqrt[:n],
+    }
+    rows = tuple(dict(zip(columns, values)) for values in zip(*(c.tolist() for c in columns.values())))
+    worst_bracket = columns["ratio_bracket"].reshape(len(gammas), samples).max(axis=1)
+    worst_sqrt = columns["ratio_sqrt"].reshape(len(gammas), samples).max(axis=1)
+    spot_err = abs(float(res.lhs_bracket[n]) - 0.5 * np.pi)
+    finite = bool(np.isfinite(columns["ratio_bracket"]).all() and np.isfinite(columns["ratio_sqrt"]).all())
     return SuiteReport(
         suite="convolution",
         seed=seed,
         passed=finite and spot_err <= 1e-8,
         summary={
             "spot_pi_over_2_error": spot_err,
-            "max_ratio_bracket": {f"{g:g}": v for g, v in worst_bracket.items()},
-            "max_ratio_sqrt": {f"{g:g}": v for g, v in worst_sqrt.items()},
+            "max_ratio_bracket": dict(zip((f"{g:g}" for g in gammas), worst_bracket.tolist())),
+            "max_ratio_sqrt": dict(zip((f"{g:g}" for g in gammas), worst_sqrt.tolist())),
             "offsets": samples,
+            "quadrature_error_estimate": float(res.error_estimate[:n].max()),
         },
-        rows=tuple(rows),
+        rows=rows,
     )
 
 

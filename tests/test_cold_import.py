@@ -1,10 +1,10 @@
-"""``scipy.integrate`` loads on the first quadrature, not with ``kp5``.
+"""No kp5 command loads ``scipy.integrate`` or the subpackages it pulls in.
 
-Only ``kp5 verify convolution`` needs adaptive quadrature; ``scipy.integrate``
-pulls in ``scipy.optimize``, ``scipy.sparse`` and ``scipy.linalg``, which no
-other command uses. ``kp5.convbounds`` itself imports only numpy, and its
-``quad`` loads ``scipy.integrate`` on the first call. Each check runs in a
-fresh interpreter, so modules that other tests imported do not count.
+``scipy.integrate`` would bring ``scipy.optimize``, ``scipy.sparse`` and
+``scipy.linalg`` along. ``kp5 verify convolution`` integrates with its own
+numpy double-exponential rule, so neither importing ``kp5`` nor running that
+check loads any of them. Each check runs in a fresh interpreter, so modules
+that other tests imported do not count.
 """
 
 import subprocess
@@ -32,12 +32,13 @@ def test_importing_the_cli_leaves_quadrature_and_its_scipy_subpackages_out():
     )
 
 
-def test_the_first_bound_check_loads_scipy_integrate():
+def test_the_convolution_check_loads_no_quadrature_scipy_subpackage(tmp_path):
     _run(
-        "import sys, kp5\n"
-        "result = kp5.convolution_bound_check(2.0, 0.0)\n"
-        "assert 'scipy.integrate' in sys.modules\n"
-        "assert isinstance(result, kp5.ConvolutionBoundResult) and result.lhs_bracket > 0.0\n"
+        "import sys, kp5.cli\n"
+        f"code = kp5.cli.main(['verify', 'convolution', '--samples', '5', '--seed', '3', '--out', {str(tmp_path / 'out')!r}, '--quiet'])\n"
+        "assert code == 0, code\n"
+        f"loaded = [m for m in {_HEAVY} if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
     )
 
 

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -46,42 +48,64 @@ def test_bracket_integral_decays_monotonically():
     assert all(b < a for a, b in zip(values, values[1:]))
 
 
-def _reference_check(gamma, a):
-    """The integrands as first written: a bracket helper composed in lambdas,
-    numpy's sqrt and abs on the singular factor."""
+def _tight(f, lo, hi):
+    return quad(f, lo, hi, epsabs=0.0, epsrel=1e-13, limit=500)[0]
 
-    def bracket_pow(t, g):
-        return (1.0 + t * t) ** (-0.5 * g)
 
-    def integral(f, lo, hi):
-        return quad(f, lo, hi, epsabs=1e-12, epsrel=1e-11, limit=200)[0]
-
-    f = lambda t: bracket_pow(t, gamma) * bracket_pow(t - a, gamma)
+def _tight_reference(gamma, a):
+    """Both integrals by adaptive quadrature at epsrel = 1e-13 with no absolute
+    tolerance, split at every peak: 0 and a, and 0 inside a square-root tail."""
+    bracket = lambda t: (1.0 + t * t) ** (-0.5 * gamma)
+    f = lambda t: bracket(t) * bracket(t - a)
     lo, hi = sorted((0.0, a))
-    lhs_bracket = integral(f, -np.inf, lo)
-    if hi > lo:
-        lhs_bracket += integral(f, lo, hi)
-    lhs_bracket += integral(f, hi, np.inf)
-    g = lambda t: bracket_pow(t, gamma) / np.sqrt(np.abs(t - a))
-    lhs_sqrt = (
-        integral(lambda s: 2.0 * bracket_pow(a - s * s, gamma), 0.0, 1.0)
-        + integral(lambda s: 2.0 * bracket_pow(a + s * s, gamma), 0.0, 1.0)
-        + (integral(g, -np.inf, a - 1.0) + integral(g, a + 1.0, np.inf))
-    )
-    return (
-        lhs_bracket,
-        lhs_bracket / (1.0 + a * a) ** (-0.5 * gamma),
-        lhs_sqrt,
-        lhs_sqrt / (1.0 + a * a) ** (-0.25),
-    )
+    lhs_bracket = _tight(f, -np.inf, lo) + _tight(f, lo, hi) + _tight(f, hi, np.inf)
+    g = lambda t: bracket(t) / np.sqrt(abs(t - a))
+    lhs_sqrt = _tight(lambda s: 2.0 * bracket(a - s * s), 0.0, 1.0)
+    lhs_sqrt += _tight(lambda s: 2.0 * bracket(a + s * s), 0.0, 1.0)
+    for ends in ([-np.inf, *([0.0] if a > 1.0 else []), a - 1.0], [a + 1.0, *([0.0] if a < -1.0 else []), np.inf]):
+        lhs_sqrt += sum(_tight(g, p, q) for p, q in zip(ends, ends[1:]))
+    return lhs_bracket, lhs_sqrt
 
 
+@pytest.mark.parametrize("offsets", [51, 201])  # the benchmark's grid and the suite's default
 @pytest.mark.parametrize("gamma", [1.1, 1.5, 2.0, 3.0])
-def test_inlined_integrands_match_the_helper_composition_bit_for_bit(gamma):
-    for a in (-100.0, -7.5, -1.0, 0.0, 0.3, 1.0, 42.0, 100.0):
-        res = convolution_bound_check(gamma, a)
-        got = (res.lhs_bracket, res.ratio_bracket, res.lhs_sqrt, res.ratio_sqrt)
-        assert got == _reference_check(gamma, a), (gamma, a)
+def test_every_value_within_1e_10_of_the_tight_reference(gamma, offsets):
+    a_grid = np.linspace(-100.0, 100.0, offsets)
+    res = convolution_bound_check(gamma, a_grid)
+    reference = np.array([_tight_reference(gamma, float(a)) for a in a_grid])
+    assert np.abs(res.lhs_bracket / reference[:, 0] - 1.0).max() <= 1e-10
+    assert np.abs(res.lhs_sqrt / reference[:, 1] - 1.0).max() <= 1e-10
+
+
+def test_scalar_call_equals_its_element_of_the_array_call_bit_for_bit():
+    # 36 pairs: the array call runs two blocks of pairs, a scalar call one of one pair
+    gamma = np.array([1.1, 1.5, 2.0, 3.0])[:, None]
+    a = np.array([-100.0, -7.5, -1.0, -0.5, 0.0, 0.3, 1.0, 42.0, 100.0])
+    res = convolution_bound_check(gamma, a)
+    fields = ("lhs_bracket", "ratio_bracket", "lhs_sqrt", "ratio_sqrt", "error_estimate")
+    for i, j in np.ndindex(res.lhs_bracket.shape):
+        one = convolution_bound_check(float(gamma[i, 0]), float(a[j]))
+        for name in fields:
+            value = getattr(one, name)
+            assert type(value) is float, name
+            assert value == getattr(res, name)[i, j], (name, gamma[i, 0], a[j])
+
+
+def test_array_check_raises_no_warning_where_a_piece_end_meets_a_split_or_zero():
+    a = np.array([0.0, 1.0, -1.0, 0.5, -0.5, 100.0, -100.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = convolution_bound_check(np.array([1.1, 1.5, 2.0, 3.0])[:, None], a)
+    for name in ("lhs_bracket", "ratio_bracket", "lhs_sqrt", "ratio_sqrt", "error_estimate"):
+        value = getattr(res, name)
+        assert value.shape == (4, a.size) and np.isfinite(value).all(), name
+
+
+def test_invalid_array_element_rejected():
+    with pytest.raises(ValueError, match="^a must be finite, got nan$"):
+        convolution_bound_check(2.0, np.array([0.0, np.nan]))
+    with pytest.raises(DivergentIntegralError, match="got 1.0$"):
+        convolution_bound_check(np.array([2.0, 1.0]), 0.0)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 import kp5.spacetime
 import kp5.sweeps
+from kp5.convbounds import convolution_bound_check
 from kp5.cutoffs import cutoff_psi, dyadic_eta
 from kp5.errors import ConfigError
 from kp5.sweeps import SUITES, SuiteReport, dyadic_suite, run_suite, strichartz_suite, thread_budget
@@ -46,6 +47,32 @@ def test_dyadic_suite_small():
     report = run_suite("dyadic", 123, 10_000)
     assert report.passed
     assert report.summary["max_defect"] <= 1e-15
+
+
+def test_convolution_suite_makes_one_array_check_and_reports_the_rule_gap(monkeypatch):
+    shapes = []
+
+    def counted(gamma, a):
+        shapes.append((np.shape(gamma), np.shape(a)))
+        return convolution_bound_check(gamma, a)
+
+    monkeypatch.setattr(kp5.sweeps, "convolution_bound_check", counted)
+    report = run_suite("convolution", 123, 5)
+    assert shapes == [((21,), (21,))]  # 4 gammas x 5 offsets, then the gamma = 2 spot value
+    assert report.passed
+    assert [(row["gamma"], row["a"]) for row in report.rows[5:10]] == [(1.5, a) for a in (-100.0, -50.0, 0.0, 50.0, 100.0)]
+    res = convolution_bound_check(1.5, -50.0)
+    assert report.rows[6] == {
+        "gamma": 1.5,
+        "a": -50.0,
+        "lhs_bracket": res.lhs_bracket,
+        "ratio_bracket": res.ratio_bracket,
+        "lhs_sqrt": res.lhs_sqrt,
+        "ratio_sqrt": res.ratio_sqrt,
+    }
+    gap = report.summary["quadrature_error_estimate"]
+    assert gap == max(convolution_bound_check(row["gamma"], row["a"]).error_estimate for row in report.rows)
+    assert 0.0 < gap <= 1e-10
 
 
 @pytest.mark.skipif(
