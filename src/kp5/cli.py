@@ -139,9 +139,9 @@ def _final_norms(traj: Trajectory) -> dict:
     return {**traj.diagnostics[-1], "l2": traj.final().l2_norm()}
 
 
-def _write_diagnostics(out: Path, traj: Trajectory, cfg: RunConfig) -> None:
-    columns = ["t", "mass", "energy"] + [spec.label for spec in cfg.monitors]
-    write_csv(out / "diagnostics.csv", traj.diagnostics, columns)
+def _write_diagnostics(out: Path, traj: Trajectory) -> None:
+    # the columns are those of evolution._diagnostics_record, in its order
+    write_csv(out / "diagnostics.csv", traj.diagnostics, tuple(traj.diagnostics[0]))
 
 
 def _write_distances(out: Path, distances) -> None:
@@ -151,7 +151,7 @@ def _write_distances(out: Path, distances) -> None:
 
 def _finish(out: Path, args, cfg: RunConfig, command: str, traj: Trajectory, extra: dict) -> None:
     """Write a run that reached t_final: diagnostics, final state, ``ok`` manifest."""
-    _write_diagnostics(out, traj, cfg)
+    _write_diagnostics(out, traj)
     write_field(out / "final.kp5f", traj.final(), time=float(traj.times[-1]))
     payload = _manifest(command, cfg, args.seed, "ok", {**extra, "final": _final_norms(traj)})
     write_json(out / "manifest.json", payload)
@@ -191,7 +191,7 @@ def cmd_simulate(args) -> int:
         except BlowUpError as exc:
             notes = {"time_reached": exc.time_reached, "warnings": _warned(caught)}
             if exc.partial is not None:
-                _write_diagnostics(out, exc.partial, cfg)
+                _write_diagnostics(out, exc.partial)
             _stopped(out, args, cfg, "simulate", "blowup", exc, notes)
             if not args.quiet:
                 print(f"blow-up: {exc}", file=sys.stderr)

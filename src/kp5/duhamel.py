@@ -55,13 +55,14 @@ class PicardResult:
 
 
 def _nonlinear_slices(u: np.ndarray, grid) -> np.ndarray:
-    """Batched dealiased d/dx(u^2)/2 on time slices of the half spectrum."""
+    """Batched dealiased d/dx(u^2)/2 on time slices of the half spectrum: ``nonlinear_rhs``'s
+    bits, as both truncate by ``dealias``'s rule before the transform and the derivative."""
     cols = u.shape[-1]
     mask = grid.dealias_mask[:, :cols]
-    phys = scipy.fft.irfft2(u * mask, s=grid.shape, axes=(1, 2), norm="ortho", overwrite_x=True)
+    phys = scipy.fft.irfft2(np.where(mask, u, 0j), s=grid.shape, axes=(1, 2), norm="ortho", overwrite_x=True)
     phys *= phys
-    out = scipy.fft.rfft2(phys, axes=(1, 2), norm="ortho", overwrite_x=True)
-    out *= 0.5j * grid.xi[:cols] * mask
+    out = np.where(mask, scipy.fft.rfft2(phys, axes=(1, 2), norm="ortho", overwrite_x=True), 0j)
+    out *= 0.5j * grid.xi[:cols]
     return out
 
 

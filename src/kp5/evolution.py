@@ -132,17 +132,16 @@ def _step_with_phase(f: Field, half_phase: np.ndarray, dt: float) -> Field:
     # Callers project ``f`` once; its xi = 0 line then stays +0.0 in every later
     # state, as ``half_phase`` is 1 - 0j there (omega_on_grid is 0 on the line)
     # and ``nonlinear_rhs`` multiplies the line by 1j*0: no re-projection is due.
-    # Stored half spectra in the Field operators' operand order: the bits of
-    # half - (0.5*dt)*k1.
+    # ``half_phase`` holds the stored columns.  Stored half spectra in the Field
+    # operators' operand order: the bits of half - (0.5*dt)*k1.
     grid = f.grid
-    phase = half_phase[:, : f._stored.shape[1]]
-    half = f._stored * phase
+    half = f._stored * half_phase
     k1 = nonlinear_rhs(Field._from_stored(grid, half))
     mid = np.multiply(k1._stored, complex(0.5 * dt))
     np.subtract(half, mid, out=mid)
     out = np.multiply(nonlinear_rhs(Field._from_stored(grid, mid))._stored, complex(dt))
     np.subtract(half, out, out=out)
-    np.multiply(out, phase, out=out)
+    np.multiply(out, half_phase, out=out)
     out = Field._from_stored(grid, out)
     if not out.is_finite():
         raise BlowUpError("non-finite samples after split step")
@@ -152,7 +151,7 @@ def _step_with_phase(f: Field, half_phase: np.ndarray, dt: float) -> Field:
 def step_splitstep(f: Field, dt: float, params: DispersionParams) -> Field:
     """One Strang step: half linear flow, explicit midpoint for the transport
     term, half linear flow.  Raises ``BlowUpError`` on non-finite output."""
-    half_phase = np.exp(-0.5j * dt * omega_on_grid(f.grid, params))
+    half_phase = np.exp(-0.5j * dt * omega_on_grid(f.grid, params)[:, : f.grid.nx // 2 + 1])
     return _step_with_phase(zero_mode_project(f), half_phase, dt)
 
 
@@ -205,7 +204,7 @@ def evolve(
     diagnostics = [_diagnostics_record(0.0, f0, alpha, monitors)]
     # the check above allows line content up to 1e-12 of the peak; zero it exactly
     current = zero_mode_project(f0)
-    half_phase = np.exp(-0.5j * cfg.dt * omega_on_grid(f0.grid, params))
+    half_phase = np.exp(-0.5j * cfg.dt * omega_on_grid(f0.grid, params)[:, : f0.grid.nx // 2 + 1])
     for i in range(1, n_steps + 1):
         t = i * cfg.dt
         try:

@@ -108,10 +108,9 @@ def energy_functional(f: Field, alpha: float) -> float:
     """
     require_zero_x_mean(f, what="energy functional")
     grid = f.grid
-    xi = grid.xi[None, : f._stored.shape[1]]
-    xi_safe = np.where(xi == 0.0, 1.0, xi)
-    weights = 0.5 * xi**4 - 0.5 * alpha * xi**2 + 0.5 * (grid.mu[:, None] / xi_safe) ** 2
-    weights[:, 0] = 0.0  # xi = 0 line carries no content by precondition
+    xi = grid.xi[1 : grid.nx // 2 + 1]
+    weights = np.zeros((grid.ny, xi.size + 1))  # xi = 0 line carries no content by precondition
+    weights[:, 1:] = 0.5 * xi**4 - 0.5 * alpha * xi**2 + 0.5 * (grid.mu[:, None] / xi) ** 2
     quadratic = grid.cell_area * _mirrored_total(_column_sums(f._stored, weights))
     u = f.to_physical()
     # u * u * u, not u**3: numpy sends exponent 3 through libm pow

@@ -12,7 +12,6 @@ the modulation variable is ``sigma = tau - omega``.
 from __future__ import annotations
 
 from dataclasses import FrozenInstanceError
-from functools import cached_property
 
 import numpy as np
 import scipy.fft
@@ -190,7 +189,7 @@ class SpaceTimeField:
         """Number of time samples, the length of the tau axis."""
         return self._block.shape[0]
 
-    @cached_property
+    @property
     def times(self) -> np.ndarray:
         """Sample times k*t_window/nt on [0, t_window)."""
         return _sample_times(self.nt, self.t_window)
@@ -253,7 +252,10 @@ def random_modulation_shell(
     shell's ``_shell_weight`` pair."""
     columns, block = _shell_weight(grid, nt, float(t_window), params, j) if weight is None else weight
     rng = np.random.default_rng(seed)
-    coeffs = (rng.standard_normal(block.shape) + 1j * rng.standard_normal(block.shape)) * block
+    coeffs = np.empty(block.shape, dtype=np.complex128)
+    coeffs.real = rng.standard_normal(block.shape)
+    coeffs.imag = rng.standard_normal(block.shape)
+    coeffs *= block
     return SpaceTimeField._from_block(grid, float(t_window), columns, coeffs)
 
 

@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import SymbolEvaluationError, ZeroMassViolationError
-from .field import Field, _mirror
+from .field import Field, hermitian_reflect
 from .grid import SpectralGrid
 
 __all__ = [
@@ -58,19 +58,14 @@ def _evaluate_multiplier(grid: SpectralGrid, m: Callable) -> np.ndarray:
     return np.atleast_2d(raw)
 
 
-def _symmetric_where_populated(values: np.ndarray, stored: np.ndarray, nx: int) -> bool:
+def _symmetric_where_populated(values: np.ndarray, stored: np.ndarray) -> bool:
     """True when ``m(-xi, -mu) == conj(m(xi, mu))`` on every stored column
     ``0..nx//2`` that ``stored`` populates; a mirror column's condition is
-    the conjugate of its stored column's, so this covers the mirrors too."""
-    mirrors = values
-    if values.shape[1] > 1:  # the mirror of stored column k is column -k mod nx
-        values = values[:, : nx // 2 + 1]
-        mirrors = np.concatenate((mirrors[:, :1], mirrors[:, : nx // 2 - 1 : -1]), axis=1)
-    asymmetric = (values != _mirror(mirrors, np.empty_like(mirrors))).any(axis=0)
-    if not asymmetric.any():
-        return True
-    # a one-column multiplier takes the same values on every column
-    return not stored[:, asymmetric if asymmetric.size > 1 else slice(None)].any()
+    the conjugate of its stored column's, so this covers the mirrors too.
+    A one-column ``values`` takes its values on every column."""
+    cols = stored.shape[1]
+    asymmetric = (values != hermitian_reflect(values))[:, :cols].any(axis=0)
+    return not stored[:, np.broadcast_to(asymmetric, cols)].any()
 
 
 def apply_symbol(f: Field, m: Callable) -> Field:
@@ -96,7 +91,7 @@ def apply_symbol(f: Field, m: Callable) -> Field:
 
     # the derivative multiplier i*xi is asymmetric only at the Nyquist column,
     # which dealiased fields leave empty
-    if not _symmetric_where_populated(values, f._stored, grid.nx):
+    if not _symmetric_where_populated(values, f._stored):
         raise SymbolEvaluationError(
             "multiplier breaks m(-xi, -mu) == conj(m(xi, mu)) on a column the field populates; "
             "the product would not be a real field"

@@ -104,6 +104,26 @@ def test_reality_preserved_by_every_solver_multiplier(grid16):
         assert defect <= 1e-12 * max(1.0, float(np.max(np.abs(out.data))))
 
 
+@pytest.mark.parametrize(
+    ("column", "full"),
+    [
+        (lambda xi, mu: 1.0 + mu[:, :1] ** 2, lambda xi, mu: 1.0 + mu**2),
+        (lambda xi, mu: 1.0 + 1j * mu[:, :1] ** 2, None),
+    ],
+    ids=["real-even-column", "imaginary-even-column"],
+)
+def test_one_column_multipliers_act_on_every_column(grid16, column, full):
+    """A (ny, 1) multiplier takes its values on every column: a symmetric one
+    gives the bits of its full-lattice spelling, and an asymmetric one is
+    rejected on a field that populates any column."""
+    f = Field.from_physical(grid16, np.random.default_rng(8).standard_normal(grid16.shape))
+    if full is None:
+        with pytest.raises(SymbolEvaluationError, match="real field"):
+            apply_symbol(f, column)
+    else:
+        assert apply_symbol(f, column)._stored.tobytes() == apply_symbol(f, full)._stored.tobytes()
+
+
 def test_zero_mode_project_examples(grid16):
     const = Field.from_physical(grid16, np.full(grid16.shape, 3.7))
     assert zero_mode_project(const).l2_norm() == 0.0
