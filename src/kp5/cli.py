@@ -5,13 +5,23 @@ iteration), ``verify`` (seeded verification suites), ``norms`` (all norms of
 a dumped field), ``resonance-map`` (level-set export).  Exit codes: 0 ok,
 2 config error (including a non-finite ``--alpha`` or range bound), unknown
 suite or a sample count below 1, 3 blow-up, 4 I/O trouble (including a held
-output-directory lock), 5 contraction failure; ``verify`` exits 1 when its
-assertions fail, and any subcommand exits 1 with ``error: out of memory: ...``
-when its arrays cannot be allocated or, like a ``picard`` node array for
+output-directory lock or a directory that already holds the command's
+manifest), 5 contraction failure; ``verify`` exits 1 when its assertions
+fail, and any subcommand exits 1 with ``error: out of memory: ...`` when its
+arrays cannot be allocated or, like a ``picard`` node array for
 ``dt: 1e-300``, not even indexed.  A config whose ``t_final`` is no whole
-number of steps ``dt`` exits 2.  If writing the holder into a fresh lock
-fails, the lock is removed again.  Every artifact of a seeded run is
-byte-reproducible.
+number of steps ``dt`` exits 2.
+
+One run skeleton, ``_run``, owns every output directory.  It takes the lock
+and refuses (exit 4) a directory that already holds the command's manifest:
+``manifest.json``, ``<suite>_summary.json`` or ``norms.json``; kp5 never
+removes a file.  It writes the artifacts, then the manifest, whose
+``artifacts`` list names every file written.  Statuses: ``ok``, ``blowup``,
+``contraction_failure``, ``not_converged`` (``picard`` out of iterations;
+exit 0), ``pass``/``fail`` for ``verify``, and ``error`` when a run raised
+after writing an artifact.  A run that raises before writing anything
+leaves no manifest, no lock and no directory it created.  Every file of a
+seeded run, manifest included, is byte-reproducible.
 """
 
 from __future__ import annotations
@@ -23,7 +33,10 @@ import platform
 import socket
 import sys
 import warnings
+from contextlib import suppress
+from dataclasses import dataclass
 from datetime import datetime, timezone
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -51,42 +64,64 @@ EXIT_CONTRACTION = 5
 _LOCK_NAME = ".kp5.lock"
 
 
-class _OutputDir:
-    """Exclusive ownership of an output directory via a lock file that names
-    its holder (pid, host, UTC start time).  A directory this run created is
-    removed again if the run fails before writing anything into it."""
+@dataclass(frozen=True)
+class _Outcome:
+    """What a command's work hands the run skeleton: the manifest's own
+    entries, the artifacts as file name -> writer (called with the file's
+    path, in this order), the status and exit code, and the progress line
+    (on stderr for a run that stopped early, whose entries hold its error)."""
 
-    def __init__(self, path: str):
-        self.path = Path(path)
-        self._fd = None
-        self._created = False
+    entries: dict
+    artifacts: dict
+    status: str = "ok"
+    code: int = EXIT_OK
+    note: str = ""
 
-    def __enter__(self) -> Path:
-        self._created = not self.path.exists()
-        self.path.mkdir(parents=True, exist_ok=True)
-        lock = self.path / _LOCK_NAME
+
+def _run(args, out_dir, manifest_name: str, cfg: RunConfig | None, work) -> int:
+    """Run ``work()`` in ``out_dir`` and write what its ``_Outcome`` names.
+
+    The directory is held through a lock file that names its holder (pid,
+    host, UTC start time).  If anything raises once an artifact is on disk,
+    a manifest with status ``error`` lists the files written (unless that
+    write fails too); if nothing was, there is no manifest, and a directory
+    this run created goes again.
+    """
+    out = Path(out_dir)
+    created = not out.exists()
+    out.mkdir(parents=True, exist_ok=True)
+    lock = out / _LOCK_NAME
+    written: list[str] = []
+    try:
         try:
-            self._fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
+            fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o644)
         except FileExistsError:
-            raise OSError(f"output directory {self.path} is locked: {_lock_holder(lock)}") from None
+            raise OSError(f"output directory {out} is locked: {_lock_holder(lock)}") from None
         try:
-            holder = {
-                "pid": os.getpid(),
-                "host": socket.gethostname(),
-                "started": datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ"),
-            }
-            os.write(self._fd, json.dumps(holder).encode())
-        except BaseException:  # a lock without its holder must not outlive this run
-            self.__exit__(*sys.exc_info())
+            started = datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
+            holder = {"pid": os.getpid(), "host": socket.gethostname(), "started": started}
+            os.write(fd, json.dumps(holder).encode())
+            if (out / manifest_name).exists():
+                raise OSError(f"{out / manifest_name} exists: kp5 writes no run over an earlier one")
+            outcome = work()
+            for name, write in outcome.artifacts.items():
+                write(out / name)
+                written.append(name)
+            write_json(out / manifest_name, _manifest(args, cfg, outcome.status, outcome.entries, written))
+        except BaseException as exc:
+            if written:
+                with suppress(OSError):  # a disk still full: the first error is the one to report
+                    write_json(out / manifest_name, _manifest(args, cfg, "error", {"error": str(exc)}, written))
             raise
-        return self.path
-
-    def __exit__(self, exc_type, *exc) -> None:
-        if self._fd is not None:
-            os.close(self._fd)
-            (self.path / _LOCK_NAME).unlink(missing_ok=True)
-        if exc_type is not None and self._created and not any(self.path.iterdir()):
-            self.path.rmdir()
+        finally:
+            os.close(fd)
+            lock.unlink(missing_ok=True)
+    finally:
+        if created and not any(out.iterdir()):
+            out.rmdir()
+    if outcome.note and not args.quiet:
+        print(outcome.note, file=sys.stderr if "error" in outcome.entries else sys.stdout)
+    return outcome.code
 
 
 def _lock_holder(lock: Path) -> str:
@@ -110,57 +145,47 @@ def _lock_holder(lock: Path) -> str:
     return f"{who}, which is still running"
 
 
-def _versions() -> dict:
-    return {
-        "python": platform.python_version(),
-        "numpy": np.__version__,
-        "scipy": scipy.__version__,
-        "kp5": __version__,
-    }
-
-
-def _manifest(command: str, cfg: RunConfig | None, seed: int, status: str, extra: dict) -> dict:
+def _manifest(args, cfg: RunConfig | None, status: str, entries: dict, artifacts: list[str]) -> dict:
     payload = {
-        "command": command,
-        "seed": seed,
+        "command": args.command,
+        "seed": args.seed,
         "status": status,
-        "versions": _versions(),
+        "versions": {
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "scipy": scipy.__version__,
+            "kp5": __version__,
+        },
         "kp5_threads": thread_budget(),
+        "artifacts": list(artifacts),
     }
     if cfg is not None:
         payload["config"] = cfg.raw
         payload["config_sha256"] = config_sha256(cfg.raw)
-    payload.update(extra)
+    payload.update(entries)
     return payload
 
 
-def _final_norms(traj: Trajectory) -> dict:
-    """The solver's diagnostics record of the final state, plus its l2 norm."""
-    return {**traj.diagnostics[-1], "l2": traj.final().l2_norm()}
+def _csv(rows, columns=None):
+    """A CSV artifact whose header is ``columns`` or else the first row's keys
+    (for diagnostics, those of evolution._diagnostics_record, in its order)."""
+    return partial(write_csv, records=rows, columns=columns or tuple(rows[0]))
 
 
-def _write_diagnostics(out: Path, traj: Trajectory) -> None:
-    # the columns are those of evolution._diagnostics_record, in its order
-    write_csv(out / "diagnostics.csv", traj.diagnostics, tuple(traj.diagnostics[0]))
+def _distances(distances):
+    return _csv([{"n": n, "distance": d} for n, d in enumerate(distances)], ("n", "distance"))
 
 
-def _write_distances(out: Path, distances) -> None:
-    rows = [{"n": n, "distance": d} for n, d in enumerate(distances)]
-    write_csv(out / "distances.csv", rows, ("n", "distance"))
-
-
-def _finish(out: Path, args, cfg: RunConfig, command: str, traj: Trajectory, extra: dict) -> None:
-    """Write a run that reached t_final: diagnostics, final state, ``ok`` manifest."""
-    _write_diagnostics(out, traj)
-    write_field(out / "final.kp5f", traj.final(), time=float(traj.times[-1]))
-    payload = _manifest(command, cfg, args.seed, "ok", {**extra, "final": _final_norms(traj)})
-    write_json(out / "manifest.json", payload)
-
-
-def _stopped(out: Path, args, cfg: RunConfig, command: str, status: str, exc, extra: dict) -> None:
-    """Write the manifest of a solver run that ``exc`` stopped early."""
-    payload = _manifest(command, cfg, args.seed, status, {"error": str(exc), **extra})
-    write_json(out / "manifest.json", payload)
+def _reached(traj: Trajectory) -> tuple[dict, dict]:
+    """Entries and artifacts of a run that reached t_final: the solver's
+    diagnostics record of the final state plus its l2 norm, the diagnostics
+    and the final state."""
+    final = traj.final()
+    artifacts = {
+        "diagnostics.csv": _csv(traj.diagnostics),
+        "final.kp5f": partial(write_field, field=final, time=float(traj.times[-1])),
+    }
+    return {"final": {**traj.diagnostics[-1], "l2": final.l2_norm()}}, artifacts
 
 
 def _warned(caught) -> list[str]:
@@ -170,18 +195,11 @@ def _warned(caught) -> list[str]:
     return [str(w.message) for w in caught]
 
 
-def _write_snapshots(out: Path, traj: Trajectory, cfg: RunConfig) -> None:
-    if cfg.snapshot_stride <= 0:
-        return
-    for t, state in zip(traj.times, traj.states):
-        step = int(round(t / cfg.solver.dt))
-        write_field(out / f"snapshot_{step:08d}.kp5f", state, time=float(t))
-
-
 def cmd_simulate(args) -> int:
     cfg = load_config(args.config)
-    out_dir = args.out or cfg.output_directory
-    with _OutputDir(out_dir) as out:
+    out = Path(args.out or cfg.output_directory)
+
+    def work() -> _Outcome:
         f0 = make_initial_data(cfg.grid, cfg.initial_data)
         stride = cfg.snapshot_stride if cfg.snapshot_stride > 0 else cfg.solver.n_steps
         try:
@@ -189,68 +207,59 @@ def cmd_simulate(args) -> int:
                 warnings.simplefilter("always", RuntimeWarning)
                 traj = evolve(f0, cfg.solver, cfg.dispersion, monitors=cfg.monitors, state_stride=stride)
         except BlowUpError as exc:
-            notes = {"time_reached": exc.time_reached, "warnings": _warned(caught)}
-            if exc.partial is not None:
-                _write_diagnostics(out, exc.partial)
-            _stopped(out, args, cfg, "simulate", "blowup", exc, notes)
-            if not args.quiet:
-                print(f"blow-up: {exc}", file=sys.stderr)
-            return EXIT_BLOWUP
-        _write_snapshots(out, traj, cfg)
-        _finish(out, args, cfg, "simulate", traj, {"warnings": _warned(caught)})
-        if not args.quiet:
-            print(f"simulate: {cfg.solver.n_steps} steps -> {out}")
-    return EXIT_OK
+            entries = {"error": str(exc), "time_reached": exc.time_reached, "warnings": _warned(caught)}
+            artifacts = {} if exc.partial is None else {"diagnostics.csv": _csv(exc.partial.diagnostics)}
+            return _Outcome(entries, artifacts, "blowup", EXIT_BLOWUP, f"blow-up: {exc}")
+        snapshots = {}
+        if cfg.snapshot_stride > 0:
+            for t, state in zip(traj.times, traj.states):
+                step = int(round(t / cfg.solver.dt))
+                snapshots[f"snapshot_{step:08d}.kp5f"] = partial(write_field, field=state, time=float(t))
+        entries, artifacts = _reached(traj)
+        entries["warnings"] = _warned(caught)
+        note = f"simulate: {cfg.solver.n_steps} steps -> {out}"
+        return _Outcome(entries, {**snapshots, **artifacts}, note=note)
+
+    return _run(args, out, "manifest.json", cfg, work)
 
 
 def cmd_picard(args) -> int:
     cfg = load_config(args.config)
-    out_dir = args.out or cfg.output_directory
-    with _OutputDir(out_dir) as out:
+
+    def work() -> _Outcome:
         f0 = make_initial_data(cfg.grid, cfg.initial_data)
         try:
             result = duhamel_picard(f0, cfg.solver, cfg.dispersion, monitors=cfg.monitors)
         except ContractionFailureError as exc:
-            _write_distances(out, exc.distances)
-            _stopped(out, args, cfg, "picard", "contraction_failure", exc, {})
-            if not args.quiet:
-                print(f"contraction failure: {exc}", file=sys.stderr)
-            return EXIT_CONTRACTION
-        _write_distances(out, result.distances)
-        extra = {
-            "converged": result.converged,
-            "iterations": len(result.distances),
-            "distances": [float(d) for d in result.distances],
-        }
-        _finish(out, args, cfg, "picard", result.trajectory, extra)
-        if not args.quiet:
-            print(f"picard: {len(result.distances)} iterations, converged={result.converged}")
-    return EXIT_OK
+            artifacts = {"distances.csv": _distances(exc.distances)}
+            note = f"contraction failure: {exc}"
+            return _Outcome({"error": str(exc)}, artifacts, "contraction_failure", EXIT_CONTRACTION, note)
+        entries, artifacts = _reached(result.trajectory)
+        distances, converged = [float(d) for d in result.distances], result.converged
+        entries.update(converged=converged, iterations=len(distances), distances=distances)
+        artifacts = {"distances.csv": _distances(result.distances), **artifacts}
+        note = f"picard: {len(distances)} iterations, converged={converged}"
+        return _Outcome(entries, artifacts, "ok" if converged else "not_converged", note=note)
+
+    return _run(args, args.out or cfg.output_directory, "manifest.json", cfg, work)
 
 
 def cmd_verify(args) -> int:
+    def work() -> _Outcome:
+        report = run_suite(args.suite, args.seed, args.samples)
+        artifacts = {f"{report.suite}.csv": _csv(report.rows)} if report.rows else {}
+        entries = {"suite": report.suite, "summary": report.summary}
+        if report.passed:
+            return _Outcome(entries, artifacts, "pass", note=f"verify {report.suite}: pass")
+        return _Outcome(entries, artifacts, "fail", 1, f"verify {report.suite}: FAIL")
+
     try:
         suite_for(args.suite, args.samples)  # before the lock: a held lock must not cost a suite
-        with _OutputDir(args.out or f"kp5-verify-{args.suite}") as out:
-            report = run_suite(args.suite, args.seed, args.samples)
-            if report.rows:
-                write_csv(out / f"{report.suite}.csv", report.rows, tuple(report.rows[0]))
-            write_json(
-                out / f"{report.suite}_summary.json",
-                _manifest(
-                    "verify",
-                    None,
-                    args.seed,
-                    "pass" if report.passed else "fail",
-                    {"suite": report.suite, "summary": report.summary},
-                ),
-            )
+        out = args.out or f"kp5-verify-{args.suite}"
+        return _run(args, out, f"{args.suite}_summary.json", None, work)
     except (ValueError, OverflowError) as exc:  # an unknown suite or a sample count it cannot use
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    if not args.quiet:
-        print(f"verify {report.suite}: {'pass' if report.passed else 'FAIL'}")
-    return EXIT_OK if report.passed else 1
 
 
 def _finite_alpha(alpha: float) -> float:
@@ -262,12 +271,7 @@ def _finite_alpha(alpha: float) -> float:
 def cmd_norms(args) -> int:
     alpha = _finite_alpha(args.alpha)
     field, time = read_field(args.field)
-    report = {
-        "field": os.path.basename(args.field),
-        "time": time,
-        "l2": field.l2_norm(),
-        "mass": mass(field),
-    }
+    report = {"field": os.path.basename(args.field), "time": time, "l2": field.l2_norm(), "mass": mass(field)}
     for s1 in (0, 1, 2):
         for s2 in (0, 1, 2):
             spec = NormSpec(s1=float(s1), s2=float(s2))
@@ -275,11 +279,9 @@ def cmd_norms(args) -> int:
     if has_zero_x_mean(field):
         report["energy"] = energy_functional(field, alpha)
         report["tilde_2_1"] = tilde_norm(field, 2.0, 1.0)
-    payload = _manifest("norms", None, args.seed, "ok", {"norms": report})
     if args.out:
-        with _OutputDir(args.out) as out:
-            write_json(out / "norms.json", payload)
-    print(json.dumps(payload, sort_keys=True, indent=2))
+        _run(args, args.out, "norms.json", None, lambda: _Outcome({"norms": report}, {}))
+    print(json.dumps(_manifest(args, None, "ok", {"norms": report}, []), sort_keys=True, indent=2))
     return EXIT_OK
 
 
@@ -304,7 +306,9 @@ def cmd_resonance_map(args) -> int:
     xi2s = _parse_range(args.xi2, "xi2")
     mu1s = _parse_range(args.mu1, "mu1")
     mu2s = _parse_range(args.mu2, "mu2")
-    with _OutputDir(args.out or "kp5-resonance-map") as out:
+    out = Path(args.out or "kp5-resonance-map")
+
+    def work() -> _Outcome:
         # the lattice in nested-loop order, less the points where R is undefined
         xi1, xi2, mu1, mu2 = (a.ravel() for a in np.meshgrid(xi1s, xi2s, mu1s, mu2s, indexing="ij"))
         keep = (xi1 != 0.0) & (xi2 != 0.0) & (xi1 + xi2 != 0.0)
@@ -312,25 +316,12 @@ def cmd_resonance_map(args) -> int:
         values = resonance(xi1, xi2, mu1, mu2, params)
         columns = ("xi1", "xi2", "mu1", "mu2", "R")
         rows = [dict(zip(columns, point)) for point in zip(xi1, xi2, mu1, mu2, values)]
-        write_csv(out / "resonance_map.csv", rows, columns)
-        write_json(
-            out / "manifest.json",
-            _manifest(
-                "resonance-map",
-                None,
-                args.seed,
-                "ok",
-                {
-                    "kp_sign": args.kp_sign,
-                    "alpha": args.alpha,
-                    "rows": len(rows),
-                    "skipped_degenerate": int(np.count_nonzero(~keep)),
-                },
-            ),
-        )
-        if not args.quiet:
-            print(f"resonance-map: {len(rows)} rows -> {out}")
-    return EXIT_OK
+        entries = {"kp_sign": args.kp_sign, "alpha": args.alpha, "rows": len(rows)}
+        entries["skipped_degenerate"] = int(np.count_nonzero(~keep))
+        note = f"resonance-map: {len(rows)} rows -> {out}"
+        return _Outcome(entries, {"resonance_map.csv": _csv(rows, columns)}, note=note)
+
+    return _run(args, out, "manifest.json", None, work)
 
 
 def _seed(text: str) -> int:

@@ -20,7 +20,8 @@ Unknown keys are rejected everywhere, and every default is explicit here:
 with a value above is its default.  ``initial_data`` kinds: ``gaussian``
 (amplitude, sigma_x, sigma_y, optional center [cx, cy]), ``mode_sum``
 (modes: list of [k, l, amplitude, phase]), ``random_shell`` (shell, seed),
-``file`` (path).  ``monitors`` is a list of [s1, s2] Sobolev index pairs.
+``file`` (path).  ``monitors`` is a list of [s1, s2] Sobolev index pairs
+whose labels ``h_<s1:g>_<s2:g>`` (the diagnostics columns) are distinct.
 ``snapshot_stride`` 0 disables field snapshots.
 
 Every number, section field or list entry, must be a JSON int or float (not
@@ -192,10 +193,15 @@ def _parse_monitors(section) -> tuple[NormSpec, ...]:
         return ()
     if not isinstance(section, list):
         raise ConfigError("monitors: expected a list of [s1, s2] pairs")
-    return tuple(
+    monitors = tuple(
         _build(f"monitors[{i}]", NormSpec, *_vector(entry, f"monitors[{i}]", ("s1", "s2")))
         for i, entry in enumerate(section)
     )
+    first = {}  # a label names one diagnostics column, so it must name one monitor
+    for i, spec in enumerate(monitors):
+        if (j := first.setdefault(spec.label, i)) != i:
+            raise ConfigError(f"monitors[{j}] and monitors[{i}] share the label {spec.label}")
+    return monitors
 
 
 def _parse_output(section) -> tuple[str, int]:

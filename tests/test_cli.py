@@ -1,3 +1,5 @@
+import dataclasses
+import errno
 import json
 import os
 import socket
@@ -5,11 +7,13 @@ import stat
 import struct
 import subprocess
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from kp5 import fileio
 from kp5.cli import main
 from kp5.dispersion import DispersionParams, KPSign
 from kp5.field import Field
@@ -87,12 +91,28 @@ _CFL_WARNING = (
 )
 
 
+# config overrides of a run that blows up, a small-data Picard run that
+# converges, and a Picard run whose iterates stop contracting
+_BLOWUP = {
+    "solver": {"dt": 0.05, "t_final": 2.0},
+    "initial_data": {"kind": "mode_sum", "modes": [[1, 0, 80.0, 0.0], [2, 1, 60.0, 0.3]]},
+}
+_PICARD_SMALL = {
+    "solver": {"dt": 2e-3, "t_final": 0.05, "cutoff_T": 0.1, "picard_tol": 1e-12},
+    "initial_data": {"kind": "mode_sum", "modes": [[1, 0, 0.005, 0.0]]},
+}
+_PICARD_DIVERGES = {
+    "grid": {"nx": 32, "ny": 32, "lx": 6.283185307179586, "ly": 6.283185307179586},
+    "solver": {"dt": 5e-3, "t_final": 0.5, "cutoff_T": 0.9, "picard_max_iters": 30},
+    "initial_data": {
+        "kind": "mode_sum",
+        "modes": [[1, 0, 30.0, 0.0], [1, 1, 24.0, 0.5], [2, 1, 18.0, 1.0], [1, 2, 12.0, 2.0]],
+    },
+}
+
+
 def test_simulate_blowup_exit_code(tmp_path, capsys):
-    cfg = _write_config(
-        tmp_path / "cfg.json",
-        solver={"dt": 0.05, "t_final": 2.0},
-        initial_data={"kind": "mode_sum", "modes": [[1, 0, 80.0, 0.0], [2, 1, 60.0, 0.3]]},
-    )
+    cfg = _write_config(tmp_path / "cfg.json", **_BLOWUP)
     out = tmp_path / "blow"
     rc = main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"])
     assert rc == 3
@@ -152,11 +172,7 @@ def test_locked_output_directory_is_io_error(tmp_path):
 
 
 def test_picard_small_data_decreasing_distances(tmp_path):
-    cfg = _write_config(
-        tmp_path / "cfg.json",
-        solver={"dt": 2e-3, "t_final": 0.05, "cutoff_T": 0.1, "picard_tol": 1e-12},
-        initial_data={"kind": "mode_sum", "modes": [[1, 0, 0.005, 0.0]]},
-    )
+    cfg = _write_config(tmp_path / "cfg.json", **_PICARD_SMALL)
     out = tmp_path / "pic"
     assert main(["picard", "--config", str(cfg), "--out", str(out), "--quiet"]) == 0
     rows = (out / "distances.csv").read_text().splitlines()
@@ -168,15 +184,7 @@ def test_picard_small_data_decreasing_distances(tmp_path):
 
 
 def test_picard_contraction_failure_exit_code(tmp_path):
-    cfg = _write_config(
-        tmp_path / "cfg.json",
-        grid={"nx": 32, "ny": 32, "lx": 6.283185307179586, "ly": 6.283185307179586},
-        solver={"dt": 5e-3, "t_final": 0.5, "cutoff_T": 0.9, "picard_max_iters": 30},
-        initial_data={
-            "kind": "mode_sum",
-            "modes": [[1, 0, 30.0, 0.0], [1, 1, 24.0, 0.5], [2, 1, 18.0, 1.0], [1, 2, 12.0, 2.0]],
-        },
-    )
+    cfg = _write_config(tmp_path / "cfg.json", **_PICARD_DIVERGES)
     out = tmp_path / "fail"
     assert main(["picard", "--config", str(cfg), "--out", str(out), "--quiet"]) == 5
     manifest = json.loads((out / "manifest.json").read_text())
@@ -639,3 +647,140 @@ def test_strichartz_artifacts_do_not_depend_on_the_thread_count(tmp_path, monkey
         csv_bytes = (out / "strichartz.csv").read_bytes()
         runs[threads] = (csv_bytes, summary["summary"], summary["status"])
     assert runs["1"] == runs["3"]
+
+
+def _listed(out: Path, manifest: str = "manifest.json") -> dict:
+    """The manifest in ``out``, once its ``artifacts`` list is checked to name
+    every other file there but the lock."""
+    payload = json.loads((out / manifest).read_text())
+    others = sorted(p.name for p in out.iterdir() if p.name not in (manifest, ".kp5.lock"))
+    assert sorted(payload["artifacts"]) == others
+    return payload
+
+
+_RESONANCE_ARGV = ["verify", "resonance", "--seed", "11", "--samples", "500"]
+
+# argv (less --out), exit code, status and manifest name of each kind of run;
+# a dict of config overrides stands for ``--config`` of a config built from it
+_RUNS = {
+    "simulate-ok": (["simulate", {}], 0, "ok", "manifest.json"),
+    "simulate-blowup": (["simulate", _BLOWUP], 3, "blowup", "manifest.json"),
+    "picard-ok": (["picard", _PICARD_SMALL], 0, "ok", "manifest.json"),
+    "picard-contraction-failure": (["picard", _PICARD_DIVERGES], 5, "contraction_failure", "manifest.json"),
+    "verify-pass": (_RESONANCE_ARGV, 0, "pass", "resonance_summary.json"),
+    "verify-fail": (_RESONANCE_ARGV, 1, "fail", "resonance_summary.json"),
+    "resonance-map": (["resonance-map"], 0, "ok", "manifest.json"),
+}
+
+
+def _argv(tmp_path: Path, monkeypatch, kind: str) -> list[str]:
+    argv = []
+    for arg in _RUNS[kind][0]:
+        if isinstance(arg, dict):
+            argv += ["--config", str(_write_config(tmp_path / f"{kind}.json", **arg))]
+        else:
+            argv.append(arg)
+    if kind == "verify-fail":
+        monkeypatch.setattr("kp5.cli.run_suite", lambda *a: dataclasses.replace(run_suite(*a), passed=False))
+    return argv + ["--quiet"]
+
+
+@pytest.mark.parametrize("kind", sorted(_RUNS))
+def test_the_manifest_lists_every_artifact_of_the_run(tmp_path, monkeypatch, kind):
+    _, code, status, manifest = _RUNS[kind]
+    out = tmp_path / "run"
+    assert main(_argv(tmp_path, monkeypatch, kind) + ["--out", str(out)]) == code
+    assert _listed(out, manifest)["status"] == status
+    assert not list(out.glob(".*"))
+
+
+def test_a_rerun_into_a_used_directory_is_refused_and_leaves_it_as_it_was(tmp_path, capsys):
+    out = tmp_path / "run"
+    first = _write_config(tmp_path / "first.json", solver={"dt": 1e-3, "t_final": 0.01})
+    assert main(["simulate", "--config", str(first), "--out", str(out), "--quiet"]) == 0
+    before = _tree_bytes(out)
+    assert sum(name.startswith("snapshot_") for name in before) == 6
+    output = {"directory": str(out), "snapshot_stride": 0}
+    second = _write_config(tmp_path / "second.json", solver={"dt": 1e-3, "t_final": 0.004}, output=output)
+    assert main(["simulate", "--config", str(second), "--out", str(out), "--quiet"]) == 4
+    err = capsys.readouterr().err
+    assert err == f"i/o error: {out / 'manifest.json'} exists: kp5 writes no run over an earlier one\n"
+    assert sorted(p.name for p in out.iterdir()) == sorted(before)  # no lock or temporary left either
+    assert _tree_bytes(out) == before
+
+
+def test_suites_share_a_directory_but_a_suite_is_not_run_twice_into_one(tmp_path):
+    out = tmp_path / "identities"
+    kp2bound = ["verify", "kp2bound", "--seed", "3", "--samples", "400", "--out", str(out), "--quiet"]
+    assert main(_RESONANCE_ARGV + ["--out", str(out), "--quiet"]) == 0
+    assert main(kp2bound) == 0
+    for suite in ("resonance", "kp2bound"):
+        assert json.loads((out / f"{suite}_summary.json").read_text())["artifacts"] == [f"{suite}.csv"]
+    before = _tree_bytes(out)
+    assert main(kp2bound) == 4
+    assert _tree_bytes(out) == before
+
+
+def test_picard_out_of_iterations_is_not_converged_and_exits_0(tmp_path, capsys):
+    solver = {**_PICARD_SMALL["solver"], "picard_max_iters": 2}
+    cfg = _write_config(tmp_path / "cfg.json", **{**_PICARD_SMALL, "solver": solver})
+    out = tmp_path / "pic"
+    assert main(["picard", "--config", str(cfg), "--out", str(out)]) == 0
+    assert capsys.readouterr().out == "picard: 2 iterations, converged=False\n"
+    manifest = _listed(out)
+    assert (manifest["status"], manifest["converged"], manifest["iterations"]) == ("not_converged", False, 2)
+    assert manifest["distances"][-1] > 1e-12
+
+
+@contextmanager
+def _disk_full_at(monkeypatch, k: int, stays_full: bool = False):
+    """Make the k-th ``atomic_writer`` call (and every later one, if the disk
+    ``stays_full``) fail with ENOSPC after writing a few bytes (never, for
+    k = 0); yields the list of names written to."""
+    real, calls = fileio.atomic_writer, []
+
+    @contextmanager
+    def writer(path):
+        calls.append(Path(path).name)
+        with real(path) as fh:
+            if 0 < k <= len(calls) and (stays_full or len(calls) == k):
+                fh.write(b"partial")
+                raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC), str(path))
+            yield fh
+
+    with monkeypatch.context() as patch:
+        patch.setattr(fileio, "atomic_writer", writer)
+        yield calls
+
+
+@pytest.mark.parametrize("kind", ["simulate-ok", "picard-ok", "verify-pass", "resonance-map"])
+def test_a_failed_write_leaves_no_lock_or_temporary_and_a_manifest_that_says_so(
+    tmp_path, capsys, monkeypatch, kind
+):
+    argv = _argv(tmp_path, monkeypatch, kind)
+    manifest = _RUNS[kind][3]
+    with _disk_full_at(monkeypatch, 0) as calls:
+        assert main(argv + ["--out", str(tmp_path / "clean")]) == 0
+    assert calls[-1] == manifest and len(calls) >= 2
+    for k in range(1, len(calls) + 1):
+        out = tmp_path / f"full-{k}"
+        with _disk_full_at(monkeypatch, k):
+            assert main(argv + ["--out", str(out)]) == 4
+        assert "No space left on device" in capsys.readouterr().err
+        # the first write failing leaves nothing; any later one, the files before it
+        assert out.exists() == (k > 1)
+        if out.exists():
+            assert not list(out.glob(".*"))
+            payload = _listed(out, manifest)
+            assert payload["status"] == "error" and "No space left on device" in payload["error"]
+            assert payload["artifacts"] == calls[: k - 1]
+
+
+def test_a_disk_that_stays_full_reports_the_first_failed_write(tmp_path, capsys, monkeypatch):
+    cfg = _write_config(tmp_path / "cfg.json")
+    out = tmp_path / "full"
+    with _disk_full_at(monkeypatch, 3, stays_full=True) as calls:
+        assert main(["simulate", "--config", str(cfg), "--out", str(out), "--quiet"]) == 4
+    assert calls[2:] == ["snapshot_00000004.kp5f", "manifest.json"]  # the error manifest failed too
+    assert capsys.readouterr().err.endswith(f"No space left on device: '{out / calls[2]}'\n")
+    assert sorted(p.name for p in out.iterdir()) == calls[:2]

@@ -109,6 +109,18 @@ def test_monitor_parsing():
         parse_config(doc)
 
 
+@pytest.mark.parametrize("pair", [[[1e-3, 0], [1.0000001e-3, 0]], [[1, 2], [1.0, 2.0]]])
+def test_monitors_whose_labels_collide_are_rejected(pair):
+    """Each label names one diagnostics column: two monitors printed alike by
+    ``%g`` would share it and the first one's value would be lost."""
+    doc = _minimal()
+    doc["monitors"] = [[0, 1], *pair]
+    with pytest.raises(ConfigError) as info:
+        parse_config(doc)
+    label = "h_0.001_0" if pair[0][0] == 1e-3 else "h_1_2"
+    assert str(info.value) == f"monitors[1] and monitors[2] share the label {label}"
+
+
 def test_bad_values_surface_as_config_errors():
     doc = _minimal()
     doc["grid"]["nx"] = 15
