@@ -1,6 +1,7 @@
 """Run configuration: one strict JSON document.
 
-Unknown keys are rejected everywhere, and every default is explicit here:
+Unknown keys are rejected everywhere, and every default is shown here (the
+dispersion and solver sections take theirs from their dataclasses):
 
 .. code-block:: json
 
@@ -111,8 +112,8 @@ def _build(where: str, make, *args, **kwargs):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _choice(enum_cls, section: dict, key: str, default: str, where: str):
-    value = section.get(key, default)
+def _choice(enum_cls, section: dict, key: str, where: str):
+    value = section[key]
     try:
         return enum_cls(value)
     except ValueError:
@@ -128,27 +129,20 @@ def _parse_grid(section) -> SpectralGrid:
 
 def _parse_dispersion(section) -> DispersionParams:
     section = _object({} if section is None else section, "dispersion", {"kp_sign", "alpha"})
-    return _build(
-        "dispersion",
-        DispersionParams,
-        kp_sign=_choice(KPSign, section, "kp_sign", "kp1", "dispersion"),
-        alpha=_number(section, "alpha", "dispersion", 0.0),
-    )
+    given = {}
+    if "kp_sign" in section:
+        given["kp_sign"] = _choice(KPSign, section, "kp_sign", "dispersion")
+    if "alpha" in section:
+        given["alpha"] = _number(section, "alpha", "dispersion")
+    return _build("dispersion", DispersionParams, **given)
 
 
 def _parse_solver(section) -> SolverConfig:
-    allowed = {"dt", "t_final", "picard_max_iters", "picard_tol", "quadrature_nodes", "cutoff_T"}
-    _object(section, "solver", allowed, {"dt", "t_final"})
-    return _build(
-        "solver",
-        SolverConfig,
-        dt=_number(section, "dt", "solver"),
-        t_final=_number(section, "t_final", "solver"),
-        picard_max_iters=_number(section, "picard_max_iters", "solver", 25, count=True),
-        picard_tol=_number(section, "picard_tol", "solver", 1e-10),
-        quadrature_nodes=_number(section, "quadrature_nodes", "solver", 2, count=True),
-        cutoff_T=_number(section, "cutoff_T", "solver", 0.5),
-    )
+    keys = ("dt", "t_final", "picard_max_iters", "picard_tol", "quadrature_nodes", "cutoff_T")
+    _object(section, "solver", set(keys), {"dt", "t_final"})
+    counts = ("picard_max_iters", "quadrature_nodes")
+    given = {k: _number(section, k, "solver", count=k in counts) for k in keys if k in section}
+    return _build("solver", SolverConfig, **given)
 
 
 def _parse_initial(section):

@@ -51,11 +51,7 @@ def _defect(data: np.ndarray) -> float:
     """max |c(k,l) - conj(c(-k,-l))|, read on columns 0..nx//2 only: every other
     column is the mirror of one of these and carries the same values."""
     half = data.shape[-1] // 2 + 1
-    diff = np.empty(data.shape[:-1] + (half,), dtype=np.complex128)
-    _mirror(data[..., :1], diff[..., :1])
-    _mirror(data[..., :0:-1][..., : half - 1], diff[..., 1:])
-    diff -= data[..., :half]
-    return float(np.max(np.abs(diff)))
+    return float(np.max(np.abs(hermitian_reflect(data)[..., :half] - data[..., :half])))
 
 
 def is_hermitian(data: np.ndarray) -> bool:

@@ -86,17 +86,10 @@ def _on_columns(block: np.ndarray, columns: np.ndarray, nx: int) -> np.ndarray:
     return full
 
 
-def _spatial_spectra(block: np.ndarray, columns: np.ndarray, nx: int, keep=slice(None)) -> np.ndarray:
-    """The (ny, nx) spatial spectra at the ``keep`` times of a spectrum that is zero off
-    the xi ``columns``, from its (nt, ny, len(columns)) block: only the block is
-    time-transformed."""
-    return _on_columns(scipy.fft.fft(block, axis=0, norm="ortho")[keep], columns, nx)
-
-
 def _kept_slices(block: np.ndarray, columns: np.ndarray, nx: int, keep) -> np.ndarray:
     """``to_physical()[keep]`` of a spectrum that is zero off the xi ``columns``,
-    from its (nt, ny, len(columns)) block."""
-    spatial = _spatial_spectra(block, columns, nx, keep)
+    from its (nt, ny, len(columns)) block: only the block is time-transformed."""
+    spatial = _on_columns(scipy.fft.fft(block, axis=0, norm="ortho")[keep], columns, nx)
     return scipy.fft.ifft2(spatial, axes=(1, 2), norm="ortho", overwrite_x=True)
 
 
@@ -126,7 +119,7 @@ class SpaceTimeField:
     columns: np.ndarray
 
     def __init__(self, grid: SpectralGrid, t_window: float, data: np.ndarray) -> None:
-        self._store(grid, t_window, np.arange(grid.nx), data, copy=True)
+        self._store(grid, t_window, np.arange(grid.nx), data.copy())
 
     @classmethod
     def _from_block(
@@ -135,10 +128,10 @@ class SpaceTimeField:
         """Check and write-lock a block on sorted xi ``columns`` that the caller has just
         allocated, without a copy."""
         u = cls.__new__(cls)
-        u._store(grid, t_window, columns, block, copy=False)
+        u._store(grid, t_window, columns, block)
         return u
 
-    def _store(self, grid, t_window, columns, block, copy: bool) -> None:
+    def _store(self, grid, t_window, columns, block) -> None:
         if not (np.isfinite(t_window) and t_window > 0):
             raise ValueError(f"t_window must be positive, got {t_window!r}")
         expected = (grid.ny, len(columns))
@@ -146,8 +139,7 @@ class SpaceTimeField:
             raise ValueError(f"data shape {block.shape} is not (nt >= 1,) + {expected}")
         if block.dtype != np.complex128:
             raise ValueError(f"spectral data must be complex128, got {block.dtype}")
-        block = _take(block.copy() if copy else block)
-        self.__dict__.update(grid=grid, t_window=t_window, columns=_take(columns), _block=block)
+        self.__dict__.update(grid=grid, t_window=t_window, columns=_take(columns), _block=_take(block))
 
     def __setattr__(self, name, value=None):
         raise FrozenInstanceError(f"cannot assign to field {name!r}")
@@ -221,7 +213,7 @@ class SpaceTimeField:
     def slices(self) -> tuple[Field, ...]:
         """Single-time fields at each sample time; ``Field.from_spectral`` raises
         ``ValueError`` for a slice that is not finite or not a real field."""
-        spatial = _spatial_spectra(self._block, self.columns, self.grid.nx)
+        spatial = _on_columns(scipy.fft.fft(self._block, axis=0, norm="ortho"), self.columns, self.grid.nx)
         return tuple(Field.from_spectral(self.grid, spatial[i]) for i in range(self.nt))
 
 
@@ -312,12 +304,12 @@ def strichartz_ratio(
 
         || |d/dx|^(1/2 - 1/r) f_j ||_{L^q_T L^r}  /  (2^(j/2) ||f_j||_{L^2})
 
-    with q = 2r/(r - 2) (sup over time when r = 2).  Integral norms: lattice
+    for 2 <= r < inf, with q = 2r/(r - 2) (sup over time when r = 2).  Integral norms: lattice
     sums carry the cell area and time step.  Raises ``UndefinedRatioError``
     when the shell is empty; ``weight`` is as for ``modulation_project``.
     """
-    if r < 2:
-        raise ValueError(f"inner exponent r must be >= 2, got {r!r}")
+    if not 2 <= r < np.inf:
+        raise ValueError(f"inner exponent r must lie in [2, inf), got {r!r}")
     if not 0.0 < T < 1.0:
         raise ValueError(f"T must lie in (0, 1), got {T!r}")
     if T >= 0.5 * u.t_window:

@@ -172,8 +172,9 @@ def test_strichartz_ratio_errors(grid16, kp1):
     with pytest.raises(UndefinedRatioError):
         strichartz_ratio(empty, 0, r=4.0, T=0.5, params=kp1)
     shell = random_modulation_shell(grid16, NT, TW, 2, 7, kp1)
-    with pytest.raises(ValueError):
-        strichartz_ratio(shell, 2, r=1.5, T=0.5, params=kp1)
+    for r in (1.5, np.inf, np.nan):
+        with pytest.raises(ValueError, match="inner exponent"):
+            strichartz_ratio(shell, 2, r=r, T=0.5, params=kp1)
     with pytest.raises(ValueError):
         strichartz_ratio(shell, 2, r=4.0, T=0.0, params=kp1)
 

@@ -35,7 +35,16 @@ def test_resonance_suite_small():
 def test_kp2bound_suite_small():
     report = run_suite("kp2bound", 123, 500)
     assert report.passed
-    assert report.summary["min_ratio"] >= 1.0
+    assert report.summary["min_ratio"] >= 15 / 8 * (1 - 1e-12)
+    assert report.summary["threshold"] == 1.875
+
+
+def test_kp2bound_suite_fails_just_below_the_proved_constant(monkeypatch):
+    # 1e-9 below 15/8 is far outside the 1e-12 relative tolerance, yet above the old gate of 1
+    monkeypatch.setattr(kp5.sweeps, "kp2_lower_bound_ratio", lambda xi1, *_: np.full(len(xi1), 15 / 8 - 1e-9))
+    report = run_suite("kp2bound", 123, 50)
+    assert not report.passed
+    assert report.summary["min_ratio"] == 15 / 8 - 1e-9
 
 
 def test_unitarity_suite_small():
